@@ -11,18 +11,18 @@ enumeration stays available behind a flag for cross-checking).
 
 from __future__ import annotations
 
-from itertools import product
-
-from .aut import (Automorphism, GenWhitehead, MultTag, PermTag,
-                  enumerate_classic_whitehead, identity_automorphism,
-                  is_long_range, mult_tag, permutation_automorphisms, theta,
-                  za_basis)
-from .core import (ClassTuple, canonical_class, enumerate_tuples)
-from .errors import BudgetError, InputError
-from .linalg import LabeledGraph, Presentation, g1_orbit_decide
-from .peak import classic_factor_list, compose_factors, long_range_peak_reduce
+from .aut import (GenWhitehead, MultTag, PermTag, conjugation_by,
+                  conjugation_letter_factors, enumerate_classic_whitehead,
+                  identity_automorphism, is_long_range, mult_tag,
+                  permutation_automorphisms, support, theta, za_basis)
+from .core import ClassTuple, canonical_class, enumerate_tuples, reduce_word
+from .errors import BudgetError
+from .linalg import LabeledGraph, Presentation, evaluate_word, g1_orbit_decide
+from .peak import (classic_factor_list, fixes_class_pointwise,
+                   long_range_peak_reduce)
 from .syllables import Decomposition, decompose, nu_matrix
-from .whorbit import wh_orbit_decide, wh_stabilizer_presentation
+from .whorbit import (wh_orbit_decide, wh_stabilizer_presentation,
+                      zero_columns_from_support)
 
 DELTA_VERTEX_BUDGET = 2000
 SWEEP_BUDGET = 200_000
@@ -254,21 +254,19 @@ def _delta_cached(g, W_min, with_stabilizers, max_vertices, max_schreier):
     return cache[key]
 
 
-def _path_element(g, graph, parent, v):
-    """Composition of edge labels along the tree path base -> v."""
-    out = identity_automorphism(g)
-    x = v
-    steps = []
-    while parent[x] is not None:
-        idx, fwd = parent[x]
-        steps.append((idx, fwd))
-        s, d, _, _ = graph.edges[idx]
-        x = s if fwd else d
-    for idx, fwd in reversed(steps):
-        _, _, _, wh = graph.edges[idx]
-        aut = wh.aut if fwd else wh.aut.invert()
-        out = aut.compose(out)
-    return out
+def _aut_letter(wh, fwd):
+    """The automorphism an edge carries in the direction it is crossed."""
+    return wh.aut if fwd else wh.aut.invert()
+
+
+def _compose(x, y):
+    return x.compose(y)
+
+
+def _tree_auts(g, graph, parent):
+    """The automorphism of the tree path base -> v, for every vertex."""
+    return graph.tree_elements(parent, _aut_letter, _compose,
+                               identity_automorphism(g))
 
 
 def aut_orbit_decide(g, U: ClassTuple, V: ClassTuple,
@@ -288,7 +286,8 @@ def aut_orbit_decide(g, U: ClassTuple, V: ClassTuple,
     target = graph.vindex[V_min]
     if target not in parent:
         return None
-    alpha = _path_element(g, graph, parent, target)
+    alpha = graph.path_element(graph.tree_path(parent, target), _aut_letter,
+                               _compose, identity_automorphism(g))
     result = mv.invert().compose(alpha).compose(mu)
     if result.apply_to_tuple(U) != V:
         raise AssertionError("orbit witness does not map U to V")
@@ -305,15 +304,14 @@ def stabilizer_generators(g, W: ClassTuple,
     base = graph.vindex[W_min]
     parent = graph.bfs_tree(base)
     tree_edges = {entry[0] for entry in parent.values() if entry is not None}
+    tree = _tree_auts(g, graph, parent)
     gens = []
     seen = set()
     mu_inv = mu.invert()
     for idx, (s, d, name, wh) in enumerate(graph.edges):
         if idx in tree_edges:
             continue
-        elem = _path_element(g, graph, parent, d).invert()
-        elem = elem.compose(wh.aut).compose(_path_element(g, graph, parent,
-                                                          s))
+        elem = tree[d].invert().compose(wh.aut).compose(tree[s])
         if elem.is_identity():
             continue
         out = mu_inv.compose(elem).compose(mu)
@@ -387,7 +385,6 @@ def build_Z(g, W_min: ClassTuple, max_vertices=60, max_schreier=None,
             letters = [(v, s) for v in g.vertices
                        if v not in g.star(a) for s in (1, -1)]
             for S in _powerset(letters):
-                from .whorbit import zero_columns_from_support
                 zc = zero_columns_from_support(g, a, S)
                 for target, wh in wh_reachable(g, a, W1, zero_columns=zc,
                                                max_vertices=max_schreier):
@@ -456,8 +453,9 @@ def build_Z(g, W_min: ClassTuple, max_vertices=60, max_schreier=None,
             v, steps, comp = stack.pop()
             if len(steps) >= 5:
                 continue
-            for eidx, (s, d, _, wh) in enumerate(graph.edges):
-                if s != v or wh.aut.key() not in classic_keys:
+            for eidx in graph.out[v].values():
+                _, d, _, wh = graph.edges[eidx]
+                if wh.aut.key() not in classic_keys:
                     continue
                 visited += 1
                 if visited > loop_budget:
@@ -473,8 +471,6 @@ def build_Z(g, W_min: ClassTuple, max_vertices=60, max_schreier=None,
 
     # C4: conjugating inner classic loops across edges; the conjugate of a
     # letter conjugation is conjugation by the letter's image
-    from .aut import conjugation_by, conjugation_letter_factors
-    from .core import reduce_word
     inner_classics = []
     for v in g.vertices:
         for s in (1, -1):
@@ -507,12 +503,13 @@ def build_Z(g, W_min: ClassTuple, max_vertices=60, max_schreier=None,
         if not isinstance(w1.tag, MultTag):
             continue
         a = w1.tag.vertex
-        for e2, (s2, d2, _, w2) in enumerate(graph.edges):
-            if s2 != d1 or not isinstance(w2.tag, MultTag) or \
-                    w2.tag.cls != w1.tag.cls:
+        for e2 in graph.out[d1].values():
+            _, d2, _, w2 = graph.edges[e2]
+            if not isinstance(w2.tag, MultTag) or w2.tag.cls != w1.tag.cls:
                 continue
-            for e3, (s3, d3, _, w3) in enumerate(graph.edges):
-                if s3 != d2 or d3 != s1 or not isinstance(w3.tag, MultTag) \
+            for e3 in graph.out[d2].values():
+                _, d3, _, w3 = graph.edges[e3]
+                if d3 != s1 or not isinstance(w3.tag, MultTag) \
                         or w3.tag.cls != w1.tag.cls:
                     continue
                 if len({s1, d1, d2}) < 2:
@@ -534,9 +531,9 @@ def build_Z(g, W_min: ClassTuple, max_vertices=60, max_schreier=None,
     for ep, (sp, dp, _, wp) in enumerate(graph.edges):
         if not isinstance(wp.tag, PermTag):
             continue
-        W1 = sp
-        for eb, (sb, db, _, wb) in enumerate(graph.edges):
-            if sb != W1 or not isinstance(wb.tag, MultTag):
+        for eb in graph.out[sp].values():
+            _, db, _, wb = graph.edges[eb]
+            if not isinstance(wb.tag, MultTag):
                 continue
             b = wb.tag.vertex
             bimg = wp.aut.images[b][0][0]
@@ -545,8 +542,9 @@ def build_Z(g, W_min: ClassTuple, max_vertices=60, max_schreier=None,
                 continue
             tgt = graph.vindex[target]
             # an edge labeled in the image multiplier class from pW1 to pbW1
-            for eg, (sg, dg, _, wg) in enumerate(graph.edges):
-                if sg != dp or dg != tgt or not isinstance(wg.tag, MultTag):
+            for eg in graph.out[dp].values():
+                _, dg, _, wg = graph.edges[eg]
+                if dg != tgt or not isinstance(wg.tag, MultTag):
                     continue
                 if wg.tag.cls != g.adjdom_class(bimg):
                     continue
@@ -567,13 +565,12 @@ def build_Z(g, W_min: ClassTuple, max_vertices=60, max_schreier=None,
                 break
 
     # C7: Steinberg squares closed by stabilizer loops
-    from .peak import fixes_class_pointwise
-    from .aut import support as gw_support
     for ea, (sa_, da_, _, wa) in enumerate(graph.edges):
         if not isinstance(wa.tag, MultTag):
             continue
-        for eb, (sb, db, _, wb) in enumerate(graph.edges):
-            if sb != sa_ or eb == ea or not isinstance(wb.tag, MultTag):
+        for eb in graph.out[sa_].values():
+            _, db, _, wb = graph.edges[eb]
+            if eb == ea or not isinstance(wb.tag, MultTag):
                 continue
             if wa.tag.cls == wb.tag.cls:
                 continue
@@ -581,7 +578,7 @@ def build_Z(g, W_min: ClassTuple, max_vertices=60, max_schreier=None,
             if not fixes_class_pointwise(wa, wb.tag.cls):
                 continue
             if not g.adjacent(a, b):
-                if gw_support(wa) & gw_support(wb):
+                if support(wa) & support(wb):
                     continue
                 if not fixes_class_pointwise(wb, wa.tag.cls):
                     continue
@@ -590,12 +587,10 @@ def build_Z(g, W_min: ClassTuple, max_vertices=60, max_schreier=None,
             if abW1 not in graph.vindex:
                 continue
             tgt = graph.vindex[abW1]
-            gammas = [e for e, (s, d, _, w) in enumerate(graph.edges)
-                      if s == db and d == tgt and isinstance(w.tag, MultTag)
-                      and w.tag.cls == wa.tag.cls]
-            deltas = [e for e, (s, d, _, w) in enumerate(graph.edges)
-                      if s == da_ and d == tgt and isinstance(w.tag, MultTag)
-                      and w.tag.cls == wb.tag.cls]
+            gammas = [e for e in graph.out[db].values()
+                      if _lands_in(graph.edges[e], tgt, wa.tag.cls)]
+            deltas = [e for e in graph.out[da_].values()
+                      if _lands_in(graph.edges[e], tgt, wb.tag.cls)]
             if not gammas or not deltas:
                 continue
             eg, ed = gammas[0], deltas[0]
@@ -620,6 +615,12 @@ def build_Z(g, W_min: ClassTuple, max_vertices=60, max_schreier=None,
             cells.append(("C7", W1, steps))
 
     return StabComplex(graph, cells, loop_edges, contexts)
+
+
+def _lands_in(edge, dst, cls):
+    """Whether an edge ends at dst with a label in the multiplier class."""
+    _, d, _, w = edge
+    return d == dst and isinstance(w.tag, MultTag) and w.tag.cls == cls
 
 
 def _rep_of(g, a):
@@ -664,15 +665,14 @@ def stabilizer_presentation(g, W: ClassTuple, max_vertices=60,
     if len(parent) != graph.n_vertices():
         raise AssertionError("presentation complex is not connected")
     tree_edges = {entry[0] for entry in parent.values() if entry is not None}
+    tree = _tree_auts(g, graph, parent)
     gen_of_edge = {}
     gens = []
     mu_inv = mu.invert()
     for idx, (s, d, name, wh) in enumerate(graph.edges):
         if idx in tree_edges:
             continue
-        elem = _path_element(g, graph, parent, d).invert()
-        elem = elem.compose(wh.aut).compose(
-            _path_element(g, graph, parent, s))
+        elem = tree[d].invert().compose(wh.aut).compose(tree[s])
         gname = "z%d" % (len(gens) + 1)
         gen_of_edge[idx] = gname
         gens.append((gname, mu_inv.compose(elem).compose(mu)))
@@ -680,7 +680,7 @@ def stabilizer_presentation(g, W: ClassTuple, max_vertices=60,
     for kind, cbase, steps in Z.cells:
         # close the relator at the base vertex through the tree; the word
         # spells the composed element, so it reads the path backwards
-        prefix = _tree_steps(graph, parent, cbase)
+        prefix = graph.tree_path(parent, cbase)
         path = prefix + steps + [(e, not fwd) for e, fwd in
                                  reversed(prefix)]
         word = []
@@ -693,7 +693,6 @@ def stabilizer_presentation(g, W: ClassTuple, max_vertices=60,
     for nm, aut in pres.generators:
         if aut.apply_to_tuple(W) != W:
             raise AssertionError("presented generator moves W")
-    from .linalg import evaluate_word
     ident = identity_automorphism(g)
     for rel in pres.relators:
         val = evaluate_word(rel, payloads, lambda x, y: x.compose(y),
@@ -701,15 +700,3 @@ def stabilizer_presentation(g, W: ClassTuple, max_vertices=60,
         if not val.is_identity():
             raise AssertionError("presented relator is not the identity")
     return pres
-
-
-def _tree_steps(graph, parent, v):
-    steps = []
-    x = v
-    while parent[x] is not None:
-        idx, fwd = parent[x]
-        steps.append((idx, fwd))
-        s, d, _, _ = graph.edges[idx]
-        x = s if fwd else d
-    steps.reverse()
-    return steps

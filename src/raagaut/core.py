@@ -13,7 +13,7 @@ differ by commutation moves; this is what all equality tests below lean on.
 from __future__ import annotations
 
 import json
-from itertools import combinations
+from itertools import product
 
 from .errors import BudgetError, InputError
 
@@ -436,8 +436,6 @@ def enumerate_tuples(g, arity, total_length, budget=500_000):
     out = []
     for split in splits(arity, total_length):
         pools = [enumerate_classes(g, ln) for ln in split]
-        idx = [0] * arity
-        from itertools import product
         for combo in product(*pools):
             out.append(ClassTuple(combo))
             if len(out) > budget:

@@ -101,10 +101,6 @@ class BlockMatrix:
         return "BlockMatrix(A=%r, B=%r)" % (self.A, self.B)
 
 
-def target_from_ints(rows):
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
 def target_lcd(rows):
     return lcm_of_denominators(x for row in rows for x in row)
 
@@ -281,12 +277,6 @@ class Presentation:
                     raise InputError("relator uses unknown generator %r"
                                      % (name,))
 
-    def payload(self, name):
-        for gname, p in self.generators:
-            if gname == name:
-                return p
-        raise KeyError(name)
-
     def __repr__(self):
         return "Presentation(%d generators, %d relators)" % (
             len(self.generators), len(self.relators))
@@ -302,10 +292,6 @@ def evaluate_word(word, payloads, mul, inv, identity):
         p = payloads[name]
         out = mul(out, p if s > 0 else inv(p))
     return out
-
-
-def matrix_env(pres: Presentation):
-    return {name: p for name, p in pres.generators}
 
 
 def evaluate_matrix_word(word, payloads):
@@ -399,20 +385,13 @@ def gl_presentation(m) -> Presentation:
     payloads = dict(sl_gens)
     for gname, gmat in sl_gens:
         conj = mat_mul(mat_mul(cmat, gmat), cinv)
-        word = gl_word_sl_free(conj, m, name)
+        word = gl_word(conj)
         action[("c", gname)] = word
-        assert mat_eq(evaluate_word(word, payloads, mat_mul, int_inverse,
-                                    mat_identity(m)), conj)
+        if not mat_eq(evaluate_word(word, payloads, mat_mul, int_inverse,
+                                    mat_identity(m)), conj):
+            raise AssertionError("inversion action word is wrong")
     top = Presentation([("c", cmat)], [((("c", 1),) * 2)])
     return semidirect_presentation(top, sl_pres, action)
-
-
-def gl_word_sl_free(mat, m, name):
-    """A transvection word for a matrix that is elementary-conjugate (used
-    only for the inversion action table: entries stay single transvections
-    with a possible sign flip)."""
-    word = gl_word(mat)
-    return word
 
 
 def semidirect_presentation(pG: Presentation, pH: Presentation,
@@ -521,7 +500,8 @@ def gl_word(C):
         # clear entries of row col right of the diagonal at the end
     # now M is diagonal with +-1 entries and determinant 1
     negs = [i for i in range(m) if M[i][i] == -1]
-    assert len(negs) % 2 == 0
+    if len(negs) % 2:
+        raise AssertionError("GL reduction left an odd number of signs")
     for t in range(0, len(negs), 2):
         i, j = negs[t], negs[t + 1]
         # diag(-1,-1) in the (i,j) plane equals (e_ij e_ji^-1 e_ij)^2
@@ -549,15 +529,23 @@ def gl_word(C):
 
 class LabeledGraph:
     """Directed multigraph with labeled edges; a reversed edge carries the
-    inverse label.  Doubles as a Schreier graph: for those we additionally
-    have one out- and one in-edge per label at every vertex."""
+    inverse label.
+
+    Invariant: every vertex has at most one outgoing and at most one
+    incoming edge per label.  ``out[v]`` and ``inc[v]`` map each label to
+    that edge's index, in edge-index order, and serve both as the label
+    index and as the adjacency.  Schreier graphs have exactly one edge per
+    label each way at every vertex.
+
+    Paths are lists of (edge index, forward?) steps; a spanning tree is the
+    parent map of ``bfs_tree``, and ``tree_path`` is the one walk up it."""
 
     def __init__(self):
         self.payloads = []
         self.vindex = {}
         self.edges = []  # (src, dst, name, payload)
-        self.out = {}    # (vertex, name) -> edge index
-        self.inc = {}    # (vertex, name) -> edge index
+        self.out = []    # per vertex: name -> edge index
+        self.inc = []    # per vertex: name -> edge index
 
     def add_vertex(self, key, payload=None):
         if key in self.vindex:
@@ -565,34 +553,37 @@ class LabeledGraph:
         idx = len(self.payloads)
         self.vindex[key] = idx
         self.payloads.append(payload if payload is not None else key)
+        self.out.append({})
+        self.inc.append({})
         return idx
 
     def add_edge(self, src, dst, name, payload):
+        if name in self.out[src] or name in self.inc[dst]:
+            raise InputError("label %r repeats at vertex %d or %d"
+                             % (name, src, dst))
         idx = len(self.edges)
         self.edges.append((src, dst, name, payload))
-        self.out[(src, name)] = idx
-        self.inc[(dst, name)] = idx
+        self.out[src][name] = idx
+        self.inc[dst][name] = idx
         return idx
 
     def n_vertices(self):
         return len(self.payloads)
 
     def neighbors(self, v):
-        """(edge index, forward?) pairs incident to v."""
-        for idx, (s, d, _, _) in enumerate(self.edges):
-            if s == v:
-                yield idx, True
-            if d == v:
-                yield idx, False
+        """(label, other endpoint, edge index, backward?) for the edges at
+        v; sorting these orders edges by label, then endpoint."""
+        edges = self.edges
+        out = [(name, edges[idx][1], idx, False)
+               for name, idx in self.out[v].items()]
+        return out + [(name, edges[idx][0], idx, True)
+                      for name, idx in self.inc[v].items()]
 
     def component(self, start):
         seen = {start}
         frontier = [start]
         while frontier:
-            v = frontier.pop()
-            for idx, fwd in self.neighbors(v):
-                s, d, _, _ = self.edges[idx]
-                w = d if fwd else s
+            for _, w, _, _ in self.neighbors(frontier.pop()):
                 if w not in seen:
                     seen.add(w)
                     frontier.append(w)
@@ -600,48 +591,87 @@ class LabeledGraph:
 
     def bfs_tree(self, base):
         """Spanning tree of the component of base: vertex -> (edge, forward)
-        leading back toward the base; edge order is label order then target
-        order, so the output is deterministic."""
+        leading back toward the base, in BFS order.  Each vertex scans its
+        edges sorted by label, other endpoint, edge index and direction, so
+        the output is deterministic."""
         parent = {base: None}
         frontier = [base]
         while frontier:
             nxt = []
             for v in frontier:
-                incident = sorted(
-                    self.neighbors(v),
-                    key=lambda p: (self.edges[p[0]][2], self.edges[p[0]][1
-                                   if p[1] else 0]))
-                for idx, fwd in incident:
-                    s, d, _, _ = self.edges[idx]
-                    w = d if fwd else s
+                for _, w, idx, back in sorted(self.neighbors(v)):
                     if w not in parent:
-                        parent[w] = (idx, fwd)
+                        parent[w] = (idx, not back)
                         nxt.append(w)
             frontier = nxt
         return parent
+
+    def tree_path(self, parent, v):
+        """The tree path base -> v, as steps in traversal order."""
+        steps = []
+        while parent[v] is not None:
+            idx, fwd = parent[v]
+            steps.append((idx, fwd))
+            s, d, _, _ = self.edges[idx]
+            v = s if fwd else d
+        steps.reverse()
+        return steps
 
     def path_word(self, parent, v):
         """Word spelling the tree-path element base -> v as a left-to-right
         product (so the first-crossed edge label is the rightmost letter;
         applied to the base coset it lands on v)."""
-        steps = []
-        while parent[v] is not None:
-            idx, fwd = parent[v]
-            s, d, name, _ = self.edges[idx]
-            steps.append((name, 1 if fwd else -1))
-            v = s if fwd else d
-        return tuple(steps)
+        return tuple((self.edges[idx][2], 1 if fwd else -1)
+                     for idx, fwd in reversed(self.tree_path(parent, v)))
+
+    def path_element(self, path, letter, mul, start):
+        """Compose the edges of a path onto ``start`` in traversal order,
+        each later edge acting on the earlier result.  ``letter(payload,
+        forward)`` is the element an edge carries in that direction."""
+        out = start
+        for idx, fwd in path:
+            out = mul(letter(self.edges[idx][3], fwd), out)
+        return out
+
+    def tree_elements(self, parent, letter, mul, identity):
+        """``path_element`` of the tree path base -> v for every tree
+        vertex.  Each vertex extends its parent vertex's element by one
+        edge, in BFS order, so the whole tree is composed once."""
+        elems = {}
+        for v, step in parent.items():
+            if step is None:
+                elems[v] = identity
+            else:
+                idx, fwd = step
+                s, d, _, payload = self.edges[idx]
+                elems[v] = mul(letter(payload, fwd), elems[s if fwd else d])
+        return elems
+
+    def trace(self, start, word, gen_of_edge):
+        """Follow a word from ``start`` and rewrite it over the generators
+        that ``gen_of_edge`` names (edge index -> name); other edges are
+        dropped.  Words are left-to-right products acting on cosets, so the
+        walk consumes them from the right.  Returns the rewritten word and
+        the end vertex."""
+        out = []
+        v = start
+        for name, s in reversed(word):
+            if s > 0:
+                idx = self.out[v][name]
+                v = self.edges[idx][1]
+            else:
+                idx = self.inc[v][name]
+                v = self.edges[idx][0]
+            if idx in gen_of_edge:
+                out.append((gen_of_edge[idx], 1 if s > 0 else -1))
+        out.reverse()
+        return tuple(out), v
 
 
-def compose_path_labels(graph, path, mul, inv, identity):
-    """Compose edge labels along a path of (edge index, forward) steps, in
-    traversal order (the composition acts like the later labels applied to
-    the earlier result)."""
-    out = identity
-    for idx, fwd in path:
-        _, _, _, payload = graph.edges[idx]
-        out = mul(payload if fwd else inv(payload), out)
-    return out
+def _letter(inv):
+    """Edge letter for payloads that are group elements: the payload
+    forward, its inverse backward."""
+    return lambda payload, fwd: payload if fwd else inv(payload)
 
 
 # -- stabilizer of a normal form in G_d --------------------------------------
@@ -973,17 +1003,9 @@ def g1_orbit_decide(rows_a, rows_b, n, k, zero_columns=frozenset(),
         parent = graph.bfs_tree(va)
         if vb not in parent:
             return OrbitCertificate(reason="schreier-component")
-        path = []
-        v = vb
-        while parent[v] is not None:
-            idx, fwd = parent[v]
-            path.append((idx, fwd))
-            s, dnode, _, _ = graph.edges[idx]
-            v = s if fwd else dnode
-        path.reverse()
-        C = compose_path_labels(graph, path, lambda x, y: x.mul(y),
-                                lambda x: x.inv(),
-                                BlockMatrix.identity(n, k2))
+        C = graph.path_element(graph.tree_path(parent, vb),
+                               _letter(BlockMatrix.inv), BlockMatrix.mul,
+                               BlockMatrix.identity(n, k2))
         D = QB.inv().mul(C).mul(QA)
     if not D.is_integral():
         raise AssertionError("orbit witness is not integral")
@@ -1015,32 +1037,13 @@ class StabPresCtx:
             [x for j, x in enumerate(row) if j not in self.zero_columns]
             for row in D.B])
         Y = self.Q.mul(small).mul(self.Q.inv())
-        word_s = gd_stab_word(Y, self.struct)
-        return self.trace(word_s)
-
-    def trace(self, word_s):
-        """Trace a word over the conjugated stabilizer generators through
-        the Schreier component, rewriting over the covering generators.
-
-        Words are left-to-right products, so the coset walk consumes them
-        from the right; collected letters are reversed back at the end."""
-        out = []
-        v = self.base
-        for name, s in reversed(word_s):
-            if s > 0:
-                idx = self.graph.out[(v, name)]
-                if idx in self.gen_of_edge:
-                    out.append((self.gen_of_edge[idx], 1))
-                v = self.graph.edges[idx][1]
-            else:
-                idx = self.graph.inc[(v, name)]
-                if idx in self.gen_of_edge:
-                    out.append((self.gen_of_edge[idx], -1))
-                v = self.graph.edges[idx][0]
-        if v != self.base:
+        # trace the word over the conjugated stabilizer generators through
+        # the Schreier component, rewriting over the covering generators
+        word, end = self.graph.trace(self.base, gd_stab_word(Y, self.struct),
+                                     self.gen_of_edge)
+        if end != self.base:
             raise InputError("word does not lie in the integral stabilizer")
-        out.reverse()
-        return tuple(out)
+        return word
 
 
 def cover_presentation(pres: Presentation, graph: LabeledGraph, base,
@@ -1054,53 +1057,24 @@ def cover_presentation(pres: Presentation, graph: LabeledGraph, base,
     if len(parent) != graph.n_vertices():
         raise InputError("Schreier graph is not connected")
     tree_edges = {entry[0] for entry in parent.values() if entry is not None}
+    tree = graph.tree_elements(parent, _letter(inv), mul, identity)
     gen_of_edge = {}
     gens = []
-    counter = 0
-
-    def tree_elem(v):
-        path = []
-        x = v
-        while parent[x] is not None:
-            idx, fwd = parent[x]
-            path.append((idx, fwd))
-            s, d, _, _ = graph.edges[idx]
-            x = s if fwd else d
-        path.reverse()
-        return compose_path_labels(graph, path, mul, inv, identity)
-
     for idx, (s, d, name, payload) in enumerate(graph.edges):
         if idx in tree_edges:
             continue
-        counter += 1
-        gname = "x%d" % counter
-        elem = mul(inv(tree_elem(d)), mul(payload, tree_elem(s)))
-        gens.append((gname, elem))
+        gname = "x%d" % (len(gens) + 1)
+        gens.append((gname, mul(inv(tree[d]), mul(payload, tree[s]))))
         gen_of_edge[idx] = gname
 
     relators = []
-    for vkey, vidx in sorted(graph.vindex.items(), key=lambda kv: kv[1]):
+    for v in range(graph.n_vertices()):
         for rel in pres.relators:
-            out = []
-            v = vidx
-            for name, s in reversed(rel):
-                if s > 0:
-                    eidx = graph.out[(v, name)]
-                    if eidx in gen_of_edge:
-                        out.append((gen_of_edge[eidx], 1))
-                    v = graph.edges[eidx][1]
-                else:
-                    eidx = graph.inc[(v, name)]
-                    if eidx in gen_of_edge:
-                        out.append((gen_of_edge[eidx], -1))
-                    v = graph.edges[eidx][0]
-            if v != vidx:
+            word, end = graph.trace(v, rel, gen_of_edge)
+            if end != v:
                 raise AssertionError("relator did not close up in the cover")
-            out.reverse()
-            relators.append(tuple(out))
+            relators.append(word)
     return Presentation(gens, relators), gen_of_edge, parent
-
-
 def g1_stabilizer_presentation(rows_a, n, k, zero_columns=frozenset(),
                                max_vertices=None):
     """Finite presentation of the stabilizer of an integer matrix in the
@@ -1120,21 +1094,16 @@ def g1_stabilizer_presentation(rows_a, n, k, zero_columns=frozenset(),
     base_key = rho(Q.inv(), d)
     comp = subgraph_component(graph_full, graph_full.vindex[base_key])
     # relabel payloads by conjugating into the stabilizer of A
-    conj = LabeledGraph()
-    for idx in range(comp.n_vertices()):
-        key = [kk for kk, ii in comp.vindex.items() if ii == idx][0]
-        conj.add_vertex(key, comp.payloads[idx])
     Qi = Q.inv()
-    for (s, dst, name, payload) in comp.edges:
-        conj.add_edge(s, dst, name, Qi.mul(payload).mul(Q))
-    base = conj.vindex[base_key]
+    comp.edges = [(s, dst, name, Qi.mul(payload).mul(Q))
+                  for s, dst, name, payload in comp.edges]
+    base = comp.vindex[base_key]
     pres_conj = Presentation(
         [(nm, Qi.mul(p).mul(Q)) for nm, p in pres_n.generators],
         pres_n.relators)
-    ident = BlockMatrix.identity(n, k2)
     pres, gen_of_edge, parent = cover_presentation(
-        pres_conj, conj, base, lambda x, y: x.mul(y), lambda x: x.inv(),
-        ident)
+        pres_conj, comp, base, BlockMatrix.mul, BlockMatrix.inv,
+        BlockMatrix.identity(n, k2))
     lifted = [(nm, _lift_block(p, k, zero_columns))
               for nm, p in pres.generators]
     pres = Presentation(lifted, pres.relators)
@@ -1144,7 +1113,7 @@ def g1_stabilizer_presentation(rows_a, n, k, zero_columns=frozenset(),
         if not mat_eq(p.act(rows_a), tuple(rows_a)):
             raise AssertionError("stabilizer generator moves the matrix")
     ctx = StabPresCtx(n=n, k=k, zero_columns=zero_columns, Q=Q, d=d,
-                      struct=struct, graph=conj, base=base, parent=parent,
+                      struct=struct, graph=comp, base=base, parent=parent,
                       gen_of_edge=gen_of_edge,
                       payloads={nm: p for nm, p in pres.generators})
     return pres, ctx
@@ -1163,34 +1132,18 @@ def presentation_from_finite_index(pH: Presentation, extra, graph, base,
     if len(parent) != graph.n_vertices():
         raise InputError("Schreier graph is not connected")
     tree_edges = {entry[0] for entry in parent.values() if entry is not None}
+    tree = graph.tree_elements(parent, _letter(inv), mul, identity)
     gens = list(pH.generators) + list(extra)
     rels = list(pH.relators)
-
-    def tree_path(v):
-        path = []
-        x = v
-        while parent[x] is not None:
-            idx, fwd = parent[x]
-            path.append((idx, fwd))
-            s, d, _, _ = graph.edges[idx]
-            x = s if fwd else d
-        path.reverse()
-        return path
-
     for idx, (s, d, name, payload) in enumerate(graph.edges):
         if idx in tree_edges:
             continue
-        ps = tree_path(s)
-        pd = tree_path(d)
         # the fundamental-group generator of the non-tree edge, as a word:
         # (tree path to d)^-1 * edge * (tree path to s)
         word = invert_pword(graph.path_word(parent, d))
         word += ((name, 1),)
         word += graph.path_word(parent, s)
-        elem = mul(inv(compose_path_labels(graph, pd, mul, inv, identity)),
-                   mul(payload,
-                       compose_path_labels(graph, ps, mul, inv, identity)))
-        w = rewriter(elem)
+        w = rewriter(mul(inv(tree[d]), mul(payload, tree[s])))
         rel = word + invert_pword(w)
         if rel and not _trivially_cancels(rel):
             rels.append(rel)

@@ -768,18 +768,10 @@ def _asym_leaf(g, V, alpha1, beta):
         iota_inv = conjugation_by(g, w).invert()
         fixed = GenWhitehead(iota_inv.compose(alpha1.aut), alpha1.tag,
                              _skip_check=True)
-        fixed.classic = _shift_classic(alpha1.classic, w)
         F = _asym_base_loop(g, V, fixed, beta)
         base = fixed.aut.apply_to_tuple(V)
         return insert_inner(g, F, base, inverse_word(w), side="right")
     return _asym_base_loop(g, V, alpha1, beta)
-
-
-def _shift_classic(classic, w):
-    """Support of iota^-1 * alpha for a classic alpha and inner iota by a
-    multiplier power: the multiplier is unchanged and the support shifts by
-    full conjugation; recompute lazily instead of tracking it."""
-    return None
 
 
 def _classic_info(g, wh):

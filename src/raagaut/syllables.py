@@ -73,10 +73,6 @@ class Decomposition:
         cls = graph.adjdom_class(vertex)
         self.cls_order = tuple(sorted(cls, key=graph.index.get))
 
-    def block_syllables(self, b):
-        start, count, _ = self.blocks[b]
-        return self.syllables[start:start + count]
-
     def class_word(self, b):
         """The representative associated with one class of the decomposition."""
         start, count, cyclic = self.blocks[b]

@@ -10,19 +10,19 @@ restriction demands it).
 
 from __future__ import annotations
 
-from .aut import (GenWhitehead, apply_gw, eta, identity_automorphism,
-                  support, theta, za_basis)
-from .core import ClassTuple, InputError
-from .errors import BudgetError
-from .linalg import (LabeledGraph, Presentation, evaluate_word,
-                     g1_orbit_decide, g1_stabilizer_presentation)
+from .aut import (GenWhitehead, apply_gw, compose_gw, eta,
+                  identity_automorphism, mult_tag, support, theta, za_basis)
+from .core import ClassTuple, InputError, parse_word
+from .exactmat import mat_mul
+from .linalg import (BlockMatrix, LabeledGraph, Presentation, evaluate_word,
+                     g1_orbit_decide, g1_stabilizer_presentation,
+                     presentation_from_finite_index)
 from .syllables import (Decomposition, decompose, matching_permutations,
                         nu_matrix, syllable_count)
 
 
 def parse_support(g, text):
     """Support sets are comma-separated letters like ``c,c^-1``."""
-    from .core import parse_word
     letters = set()
     for tok in text.split(","):
         tok = tok.strip()
@@ -153,7 +153,7 @@ def wh_stabilizer_presentation(g, a, S, U: ClassTuple, max_vertices=None,
         s2.append((name, theta(g, a, mat)))
 
     vertices = [nu1]
-    transversal = {_mat_key(nu1): BlockMatrixIdentity(n, k)}
+    transversal = {_mat_key(nu1): BlockMatrix.identity(n, k)}
     s1 = []
     for target in targets:
         if _mat_key(target) == _mat_key(nu1):
@@ -173,7 +173,7 @@ def wh_stabilizer_presentation(g, a, S, U: ClassTuple, max_vertices=None,
     for name, wh in labelled:
         mat = _eta_at(g, a, wh)
         for v in vertices:
-            img = _mat_mul_int(mat, v)
+            img = mat_mul(mat, v)
             key = _mat_key(img)
             if key not in graph.vindex:
                 raise AssertionError("stabilizer label leaves the vertex set")
@@ -185,11 +185,10 @@ def wh_stabilizer_presentation(g, a, S, U: ClassTuple, max_vertices=None,
     def rewriter(elem: GenWhitehead):
         return mctx.rewrite(_block_of(g, a, elem, n, k))
 
-    from .linalg import presentation_from_finite_index
     pres = presentation_from_finite_index(
         Presentation(s2, pres_matrix.relators), s1, graph, base, rewriter,
-        lambda x, y: _compose(x, y), lambda x: x.invert(),
-        GenWhitehead(identity_automorphism(g), _mult_tag(g, a),
+        compose_gw, lambda x: x.invert(),
+        GenWhitehead(identity_automorphism(g), mult_tag(g, a),
                      _skip_check=True))
     ctx = WhStabCtx(g=g, a=a, S=S, graph=graph, base=base, mctx=mctx,
                     pres=pres, n=n, k=k, transversal=transversal,
@@ -224,7 +223,7 @@ class WhStabCtx:
         matrix-stabilizer part."""
         g, a = self.g, self.a
         mat = _eta_at(g, a, wh)
-        img = _mat_mul_int(mat, self.vertices[0])
+        img = mat_mul(mat, self.vertices[0])
         key = _mat_key(img)
         tnames = {_mat_key(v): "t%d" % i
                   for i, v in enumerate(self.vertices[1:])}
@@ -237,31 +236,13 @@ class WhStabCtx:
             t = self.transversal[key]
             head = ((tnames[key], 1),)
             tinv = _theta_of(g, a, t).invert()
-            rest = _compose(tinv, wh)
+            rest = compose_gw(tinv, wh)
         return head + self.mctx.rewrite(_block_of(g, a, rest, self.n,
                                                   self.k))
 
 
 def _mat_key(m):
     return tuple(tuple(row) for row in m)
-
-
-def _mat_mul_int(A, B):
-    rows = len(A)
-    inner = len(B)
-    cols = len(B[0]) if B else 0
-    return tuple(tuple(sum(A[i][t] * B[t][j] for t in range(inner))
-                       for j in range(cols)) for i in range(rows))
-
-
-def _mult_tag(g, a):
-    from .aut import mult_tag
-    return mult_tag(g, a)
-
-
-def _compose(x: GenWhitehead, y: GenWhitehead) -> GenWhitehead:
-    from .aut import compose_gw
-    return compose_gw(x, y)
 
 
 def _theta_of(g, a, block):
@@ -273,18 +254,11 @@ def _theta_of(g, a, block):
 def _eta_at(g, a, wh: GenWhitehead):
     """Matrix of the element with respect to the basis at ``a``, regardless
     of how the element happens to be tagged."""
-    from .aut import mult_tag
     return eta(GenWhitehead(wh.aut, mult_tag(g, a), _skip_check=True))
 
 
 def _block_of(g, a, wh: GenWhitehead, n, k):
-    from .linalg import BlockMatrix
     mat = _eta_at(g, a, wh)
     A = [[mat[i][j] for j in range(n)] for i in range(n)]
     B = [[mat[i][j] for j in range(n, n + k)] for i in range(n)]
     return BlockMatrix(n, k, A, B)
-
-
-def BlockMatrixIdentity(n, k):
-    from .linalg import BlockMatrix
-    return BlockMatrix.identity(n, k)

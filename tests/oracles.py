@@ -176,3 +176,50 @@ def bfs_minimal_length(adjacency, word, budget=300_000):
                 nxt.append(m)
         frontier = nxt
     return best
+
+
+# -- labeled graphs by edge scans ---------------------------------------------
+# The adjacency and spanning tree of a LabeledGraph read straight off its
+# edge list (src, dst, name, payload), scanning every edge per vertex.
+
+def edge_scan_neighbors(edges, v):
+    for idx, (s, d, _, _) in enumerate(edges):
+        if s == v:
+            yield idx, True
+        if d == v:
+            yield idx, False
+
+
+def edge_scan_component(edges, start):
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        v = frontier.pop()
+        for idx, fwd in edge_scan_neighbors(edges, v):
+            s, d, _, _ = edges[idx]
+            w = d if fwd else s
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return seen
+
+
+def edge_scan_bfs_tree(edges, base):
+    """vertex -> (edge index, forward?) toward the base; each vertex takes
+    its edges by label, then other endpoint, then edge order."""
+    parent = {base: None}
+    frontier = [base]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            incident = sorted(
+                edge_scan_neighbors(edges, v),
+                key=lambda p: (edges[p[0]][2], edges[p[0]][1 if p[1] else 0]))
+            for idx, fwd in incident:
+                s, d, _, _ = edges[idx]
+                w = d if fwd else s
+                if w not in parent:
+                    parent[w] = (idx, fwd)
+                    nxt.append(w)
+        frontier = nxt
+    return parent

@@ -1,0 +1,134 @@
+"""The graph layer: per-vertex edge maps, the spanning tree and its walks,
+and the coset tracer, checked against edge-scan references."""
+
+import random
+
+import pytest
+
+from raagaut.apps import build_delta, build_Z
+from raagaut.core import class_tuple, parse_word
+from raagaut.errors import InputError
+from raagaut.exactmat import lcm
+from raagaut.linalg import (BlockMatrix, LabeledGraph, gd_stabilizer,
+                            gq_normal_form, invert_pword, schreier_g1_in_gd,
+                            target_lcd)
+
+from .oracles import edge_scan_bfs_tree, edge_scan_component
+from .test_linalg import unimodular
+
+
+def seeded_schreier(seed, n, k, d):
+    """Schreier graph of the stabilizer of a seeded matrix whose normal form
+    has denominator d, so the graph has d^(n*k) vertices."""
+    rng = random.Random(seed)
+    P = unimodular(rng, n)
+    top = [[(P[i][j] if j < n else 0) + d * rng.randint(-2, 2)
+            for j in range(k)] for i in range(n)]
+    rows = top + [[d * int(i == j) for j in range(k)] for i in range(k)]
+    N, Q = gq_normal_form(rows, n, k)
+    dd = lcm(target_lcd(N), Q.denominator())
+    _, pres = gd_stabilizer(N, n, k, dd)
+    return schreier_g1_in_gd(pres.generators, n, k, dd)
+
+
+def example_schreier():
+    _, pres = gd_stabilizer(((0,), (0,), (2,)), 2, 1, 2)
+    return schreier_g1_in_gd(pres.generators, 2, 1, 2)
+
+
+SCHREIER_CASES = [(1, 1, 4), (2, 1, 9), (3, 1, 16), (4, 1, 25),
+                  (5, 2, 2), (6, 2, 3), (7, 2, 4)]
+
+
+def assert_matches_edge_scan(graph):
+    """Same component and same spanning tree, in the same BFS order, from
+    one vertex of every component."""
+    left = set(range(graph.n_vertices()))
+    while left:
+        v = max(left)
+        comp = graph.component(v)
+        assert comp == edge_scan_component(graph.edges, v)
+        assert list(graph.bfs_tree(v).items()) == \
+            list(edge_scan_bfs_tree(graph.edges, v).items())
+        left -= comp
+
+
+def test_example_schreier_matches_edge_scan():
+    assert_matches_edge_scan(example_schreier())
+
+
+@pytest.mark.parametrize("seed,k,d", SCHREIER_CASES)
+def test_seeded_schreier_matches_edge_scan(seed, k, d):
+    graph = seeded_schreier(seed, 2, k, d)
+    assert graph.n_vertices() == d ** (2 * k)
+    assert_matches_edge_scan(graph)
+
+
+def test_orbit_graphs_match_edge_scan(f2, split):
+    assert_matches_edge_scan(build_delta(split, class_tuple(split, [
+        parse_word("a d")])))
+    Z = build_Z(f2, class_tuple(f2, [parse_word("a")]))
+    assert_matches_edge_scan(Z.graph)
+
+
+def test_tree_elements_equal_plain_fold():
+    graph = seeded_schreier(4, 2, 1, 25)
+    base = graph.n_vertices() - 1
+    parent = graph.bfs_tree(base)
+    assert len(parent) == 600
+    letter = lambda p, fwd: p if fwd else p.inv()  # noqa: E731
+    mul = BlockMatrix.mul
+    ident = BlockMatrix.identity(2, 1)
+    tree = graph.tree_elements(parent, letter, mul, ident)
+    assert list(tree) == list(parent)
+    for v in parent:
+        path = graph.tree_path(parent, v)
+        assert tree[v] == graph.path_element(path, letter, mul, ident)
+        # the path leaves the base and ends at v
+        end = base
+        for idx, fwd in path:
+            s, d, _, _ = graph.edges[idx]
+            assert end == (s if fwd else d)
+            end = d if fwd else s
+        assert end == v
+
+
+def test_path_word_traces_base_to_vertex():
+    graph = example_schreier()
+    base = graph.vindex[((1,), (0,))]
+    parent = graph.bfs_tree(base)
+    for v in parent:
+        word = graph.path_word(parent, v)
+        assert graph.trace(base, word, {}) == ((), v)
+        assert graph.trace(v, invert_pword(word), {}) == ((), base)
+
+
+def test_trace_rewrites_over_named_edges():
+    graph = LabeledGraph()
+    for key in "uv":
+        graph.add_vertex(key)
+    graph.add_edge(0, 1, "x", None)
+    graph.add_edge(1, 0, "x", None)
+    graph.add_edge(0, 0, "y", None)
+    names = {1: "g", 2: "h"}
+    # the walk reads the word from the right: x, x, then y
+    assert graph.trace(0, (("y", 1), ("x", 1), ("x", 1)), names) == \
+        ((("h", 1), ("g", 1)), 0)
+    assert graph.trace(0, (("x", -1),), names) == ((("g", -1),), 1)
+    with pytest.raises(KeyError):
+        graph.trace(1, (("y", 1),), names)
+
+
+def test_add_edge_rejects_repeated_label():
+    graph = LabeledGraph()
+    for key in "uvw":
+        graph.add_vertex(key)
+    graph.add_edge(0, 1, "x", None)
+    with pytest.raises(InputError):
+        graph.add_edge(0, 2, "x", None)   # second x out of u
+    with pytest.raises(InputError):
+        graph.add_edge(2, 1, "x", None)   # second x into v
+    graph.add_edge(1, 0, "x", None)
+    graph.add_edge(2, 2, "x", None)
+    assert len(graph.edges) == 3
+    assert graph.out[0] == {"x": 0} and graph.inc[1] == {"x": 0}

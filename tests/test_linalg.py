@@ -81,11 +81,16 @@ def test_example_schreier_components():
     comp1 = graph.component(graph.vindex[((1,), (0,))])
     assert len(comp0) == 1
     assert len(comp1) == 3
-    # label regularity: one in and one out edge per label per vertex
+    # label regularity: exactly one in and one out edge per label per vertex
     for v in range(4):
+        assert sorted(graph.out[v]) == ["a", "b", "c"]
+        assert sorted(graph.inc[v]) == ["a", "b", "c"]
         for name in ("a", "b", "c"):
-            assert (v, name) in graph.out
-            assert (v, name) in graph.inc
+            s, _, label, _ = graph.edges[graph.out[v][name]]
+            assert (s, label) == (v, name)
+            _, d, label, _ = graph.edges[graph.inc[v][name]]
+            assert (d, label) == (v, name)
+    assert len(graph.edges) == 4 * 3
 
 
 def test_example_orbit_negative_but_gq_equal():
