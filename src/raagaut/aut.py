@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 from itertools import permutations, product
 
-from .core import (DefiningGraph, InputError, Word, canonical_class,
-                   class_tuple, format_word, inverse_word, lexnf, parse_word,
-                   reduce_word, words_equal, ClassTuple)
+from .core import (InputError, Word, canonical_class, format_word,
+                   inverse_word, lexnf, parse_word, reduce_word, ClassTuple)
 from .errors import BudgetError
+from .exactmat import int_inverse
 
 
 class Automorphism:
@@ -124,6 +124,8 @@ class Automorphism:
             set(graph.vertices) - set(inv)
         if missing:
             raise InputError("missing images for %s" % sorted(missing))
+        for w in list(images.values()) + list(inv.values()):
+            graph.check_letters(w)
         return cls(graph, images, inv)
 
     @classmethod
@@ -371,7 +373,6 @@ def theta(g, a, matrix) -> GenWhitehead:
             want = 1 if i == j else 0
             if matrix[i][j] != want:
                 raise InputError("matrix bottom block is not the identity")
-    from .exactmat import int_inverse
     inv = int_inverse(matrix)  # raises if det is not +-1
 
     def images_from(mat):

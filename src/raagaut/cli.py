@@ -12,18 +12,18 @@ import json
 import sys
 from fractions import Fraction
 
+from .apps import (aut_orbit_decide, minimize_tuple, stabilizer_generators,
+                   stabilizer_presentation)
 from .aut import Automorphism, apply_gw, identity_automorphism
-from .core import (DefiningGraph, format_word, parse_tuple, parse_word,
-                   reduce_word, canonical_class, conjugate_test, ClassTuple)
+from .core import (DefiningGraph, canonical_class, format_word, parse_tuple,
+                   parse_word, reduce_word)
 from .errors import BudgetError, InputError
 from .exactmat import mat_eq
-from .linalg import (BlockMatrix, evaluate_matrix_word, g1_orbit_decide,
-                     g1_stabilizer_presentation, gq_normal_form,
-                     is_normal_form, target_lcd)
-from .peak import Factorization, compose_factors, omega_factorization, \
-    peak_reduce
-from .whorbit import (parse_support, wh_orbit_decide,
-                      wh_stabilizer_presentation, zero_columns_from_support)
+from .linalg import (BlockMatrix, evaluate_matrix_word, evaluate_word,
+                     g1_orbit_decide, g1_stabilizer_presentation,
+                     gq_normal_form, is_normal_form, target_lcd)
+from .peak import compose_factors, omega_factorization, peak_reduce
+from .whorbit import parse_support, wh_orbit_decide, wh_stabilizer_presentation
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -130,9 +130,15 @@ def need(args, attr, flag):
     return val
 
 
+def need_word(args, g, attr, flag):
+    w = parse_word(need(args, attr, flag))
+    g.check_letters(w)
+    return w
+
+
 def cmd_reduce(args):
     g = need_graph(args)
-    w = parse_word(need(args, "word", "--word"))
+    w = need_word(args, g, "word", "--word")
     red = reduce_word(g, w)
     emit(args, {"reduced": format_word(red), "length": len(red)},
          [format_word(red) or "1"])
@@ -141,8 +147,8 @@ def cmd_reduce(args):
 
 def cmd_conj(args):
     g = need_graph(args)
-    w1 = parse_word(need(args, "word", "--word"))
-    w2 = parse_word(need(args, "word2", "--word2"))
+    w1 = need_word(args, g, "word", "--word")
+    w2 = need_word(args, g, "word2", "--word2")
     c1 = canonical_class(g, w1)
     c2 = canonical_class(g, w2)
     ans = c1 == c2
@@ -153,7 +159,6 @@ def cmd_conj(args):
 
 
 def cmd_orbit(args):
-    from .apps import aut_orbit_decide
     g = need_graph(args)
     U = parse_tuple(g, need(args, "tuple1", "--tuple"))
     V = parse_tuple(g, need(args, "tuple2", "--tuple2"))
@@ -172,7 +177,6 @@ def cmd_orbit(args):
 
 
 def cmd_minimize(args):
-    from .apps import minimize_tuple
     g = need_graph(args)
     U = parse_tuple(g, need(args, "tuple1", "--tuple"))
     m, mu = minimize_tuple(g, U, full_enum=args.full_enum)
@@ -188,7 +192,6 @@ def cmd_minimize(args):
 
 
 def cmd_stab_gens(args):
-    from .apps import stabilizer_generators
     g = need_graph(args)
     W = parse_tuple(g, need(args, "tuple1", "--tuple"))
     gens = stabilizer_generators(g, W)
@@ -202,13 +205,11 @@ def cmd_stab_gens(args):
 
 
 def cmd_stab_pres(args):
-    from .apps import stabilizer_presentation
     g = need_graph(args)
     W = parse_tuple(g, need(args, "tuple1", "--tuple"))
     pres = stabilizer_presentation(g, W)
 
     def verify():
-        from .linalg import evaluate_word
         payloads = {nm: aut for nm, aut in pres.generators}
         ident = identity_automorphism(g)
         for rel in pres.relators:

@@ -13,6 +13,7 @@ differ by commutation moves; this is what all equality tests below lean on.
 from __future__ import annotations
 
 import json
+from heapq import heapify, heappop, heappush
 from itertools import product
 
 from .errors import BudgetError, InputError
@@ -53,10 +54,6 @@ class DefiningGraph:
 
     def adjacent(self, a, b):
         return b in self.adj[a]
-
-    def commutes(self, a, b):
-        """Generators commute iff adjacent or equal."""
-        return a == b or b in self.adj[a]
 
     def star(self, a):
         key = ("star", a)
@@ -182,9 +179,9 @@ def reduce_word(g: DefiningGraph, word) -> Word:
     """Graphically reduce a word by deleting cancellable pairs to a fixpoint.
 
     Any maximal deletion sequence reaches minimal length (Servatius), so a
-    plain scan-and-delete loop is already correct.
+    plain scan-and-delete loop is already correct.  Letters are not checked
+    here: words from outside the program are checked where they are parsed.
     """
-    g.check_letters(word)
     letters = list(word)
     changed = True
     while changed:
@@ -218,22 +215,39 @@ def words_equal(g, w1, w2):
 
 
 def lexnf(g, word) -> Word:
-    """Lexicographic normal form of a *reduced* word.
+    """Lexicographic normal form of a *reduced* word (Anisimov-Knuth).
 
-    Greedily pull the least available letter to the front; two reduced words
-    represent the same element iff their normal forms coincide.
+    Repeatedly take the least letter that no earlier letter of another,
+    non-adjacent generator blocks; the result is the least word of the
+    trace, so two reduced words represent the same element iff their normal
+    forms coincide.  Each position counts its blockers and taking a letter
+    releases the later positions it blocked, so the cost is quadratic.
     """
-    rest = list(word)
+    n = len(word)
+    if n < 2:
+        return tuple(word)
+    adj = g.adj
+    gens = [gen for gen, _ in word]
+    keys = [g.letter_key(let) for let in word]
+    blockers = [0] * n
+    blocks = [[] for _ in range(n)]
+    for i, gi in enumerate(gens):
+        ai = adj[gi]
+        for j in range(i + 1, n):
+            gj = gens[j]
+            if gj != gi and gj not in ai:
+                blockers[j] += 1
+                blocks[i].append(j)
+    ready = [(keys[i], i) for i in range(n) if not blockers[i]]
+    heapify(ready)
     out = []
-    while rest:
-        best = None
-        for i, let in enumerate(rest):
-            blocked = any(not g.commutes(rest[j][0], let[0]) for j in range(i))
-            if blocked:
-                continue
-            if best is None or g.letter_key(let) < g.letter_key(rest[best]):
-                best = i
-        out.append(rest.pop(best))
+    while ready:
+        _, i = heappop(ready)
+        out.append(word[i])
+        for j in blocks[i]:
+            blockers[j] -= 1
+            if not blockers[j]:
+                heappush(ready, (keys[j], j))
     return tuple(out)
 
 
@@ -257,8 +271,9 @@ class ConjClass:
     """A conjugacy class, held by its canonical cyclic representative.
 
     The canonical word is the lexicographically least word (under the
-    declared generator order) reachable from a cyclically reduced
-    representative by commutation swaps and cyclic rotations.
+    declared generator order) among the cyclically reduced words of the
+    class, found as the least ``lexnf`` over the traces that
+    ``canonical_class`` reaches.
     """
 
     __slots__ = ("word", "length")
@@ -285,44 +300,59 @@ class ConjClass:
 _CONJ_TOKEN = object()
 
 
-def canonical_class(g, word, budget=CANONICAL_STATE_BUDGET) -> ConjClass:
-    """Canonical representative by BFS closure over commutation swaps and
-    rotations of a cyclically reduced representative.
+def _front_positions(g, trace):
+    """First position of each distinct letter of a trace that can be
+    commuted to its front."""
+    seen = set()
+    out = {}
+    for i, let in enumerate(trace):
+        gen = let[0]
+        if let not in out and seen <= g.star(gen):
+            out[let] = i
+        seen.add(gen)
+    return out.values()
 
-    Exponential in the worst case; a state budget turns pathological inputs
-    into a BudgetError rather than a wrong answer.
+
+def canonical_class(g, word, budget=CANONICAL_STATE_BUDGET) -> ConjClass:
+    """Canonical representative by a BFS over the traces of the cyclic
+    conjugates of a cyclically reduced representative.
+
+    A state is a trace, keyed by its ``lexnf``; a move sends a letter that
+    can come to the front to the back.  Cyclically reduced words are
+    conjugate iff commutations and rotations connect them (Servatius 1989),
+    and the states reached are the traces of exactly those words, so the
+    least ``lexnf`` among them is the least word of the class.  Each state
+    costs one quadratic ``lexnf`` per front letter; ``budget`` caps the
+    number of trace states.
     """
     w = cyclically_reduce(g, word)
     memo = g._cache.setdefault("canon", {})
-    if w in memo:
-        return memo[w]
-    if not w:
-        cls = ConjClass((), _CONJ_TOKEN)
-        memo[w] = cls
+    cls = memo.get(w)
+    if cls is not None:
         return cls
-    seen = {w}
-    frontier = [w]
-    best = w
-    keyf = lambda u: tuple(g.letter_key(x) for x in u)
-    while frontier:
-        nxt = []
-        for u in frontier:
-            cands = [u[1:] + u[:1]]
-            for i in range(len(u) - 1):
-                if u[i][0] != u[i + 1][0] and g.adjacent(u[i][0], u[i + 1][0]):
-                    cands.append(u[:i] + (u[i + 1], u[i]) + u[i + 2:])
-            for c in cands:
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-                    if keyf(c) < keyf(best):
-                        best = c
-        if len(seen) > budget:
-            raise BudgetError("canonicalization state budget exceeded")
-        frontier = nxt
-    cls = ConjClass(best, _CONJ_TOKEN)
-    for u in seen:
-        memo[u] = cls
+    start = lexnf(g, w)
+    cls = memo.get(start)
+    if cls is None:
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for i in _front_positions(g, u):
+                    v = lexnf(g, u[:i] + u[i + 1:] + u[i:i + 1])
+                    if v not in seen:
+                        seen.add(v)
+                        nxt.append(v)
+                        if len(seen) > budget:
+                            raise BudgetError(
+                                "canonical_class trace states %d > budget %d"
+                                % (len(seen), budget))
+            frontier = nxt
+        cls = ConjClass(min(seen, key=lambda u: [g.letter_key(x) for x in u]),
+                        _CONJ_TOKEN)
+        for u in seen:
+            memo[u] = cls
+    memo[w] = cls
     return cls
 
 
@@ -365,6 +395,8 @@ def class_tuple(g, words) -> ClassTuple:
 
 def parse_tuple(g, text) -> ClassTuple:
     words = [parse_word(part) for part in text.split(";")]
+    for w in words:
+        g.check_letters(w)
     return class_tuple(g, words)
 
 

@@ -20,11 +20,11 @@ every assembled factorization is re-verified before it is returned.
 from __future__ import annotations
 
 from .aut import (Automorphism, GenWhitehead, MultTag, PermTag,
-                  compose_gw, conjugation_by, conjugation_letter_factors,
-                  enumerate_classic_whitehead, eta, identity_automorphism,
-                  inner_witness, is_in_whset, is_long_range, mult_tag,
-                  permutation_automorphisms, retag, split_around, support,
-                  theta, za_basis)
+                  classify_classic, compose_gw, conjugation_by,
+                  conjugation_letter_factors, enumerate_classic_whitehead,
+                  eta, identity_automorphism, inner_witness, is_in_whset,
+                  is_long_range, mult_tag, permutation_automorphisms, retag,
+                  split_around, support, theta, za_basis)
 from .core import ClassTuple, InputError, inverse_word, reduce_word
 from .errors import BudgetError
 
@@ -174,7 +174,6 @@ def classic_length_change(g, wh: GenWhitehead, W: ClassTuple) -> int:
     bracket."""
     info = wh.classic
     if info is None:
-        from .aut import classify_classic
         info = classify_classic(wh)
     if info is None:
         raise InputError("not a classic long-range Whitehead automorphism")
@@ -777,7 +776,6 @@ def _asym_leaf(g, V, alpha1, beta):
 def _classic_info(g, wh):
     if wh.classic is not None:
         return wh.classic
-    from .aut import classify_classic
     info = classify_classic(wh)
     if info is None:
         raise AssertionError("expected a classic long-range automorphism")

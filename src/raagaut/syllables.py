@@ -12,7 +12,7 @@ with everything in the star.
 from __future__ import annotations
 
 from .aut import GenWhitehead, eta, za_basis
-from .core import (ClassTuple, ConjClass, canonical_class, reduce_word)
+from .core import ClassTuple, ConjClass, canonical_class, format_word
 from .errors import BudgetError, InputError
 
 
@@ -364,7 +364,6 @@ def decomposition_from_words(g, a, classes_of_syllable_words) -> Decomposition:
 
 def dump(d: Decomposition) -> str:
     """Debug dump, one syllable per line as ``c | u | d``."""
-    from .core import format_word
     lines = []
     for s in d.syllables:
         mid = []

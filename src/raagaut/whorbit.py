@@ -31,6 +31,7 @@ def parse_support(g, text):
         w = parse_word(tok)
         if len(w) != 1:
             raise InputError("support entries must be single letters")
+        g.check_letters(w)
         letters.add(w[0])
     return frozenset(letters)
 

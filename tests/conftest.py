@@ -29,3 +29,11 @@ def path4():
 def k3():
     return DefiningGraph(["a", "b", "c"],
                          [["a", "b"], ["b", "c"], ["a", "c"]])
+
+
+@pytest.fixture
+def nodom6():
+    """a and b do not dominate each other; both dominate c non-adjacently."""
+    return DefiningGraph(["a", "b", "c", "m", "e", "f"],
+                         [["a", "m"], ["a", "f"], ["b", "m"], ["b", "e"],
+                          ["c", "m"]])

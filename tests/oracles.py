@@ -223,3 +223,101 @@ def edge_scan_bfs_tree(edges, base):
                     nxt.append(w)
         frontier = nxt
     return parent
+
+
+# -- conjugacy classes by word BFS --------------------------------------------
+# The canonical class word and the lexicographic normal form straight from
+# their definitions: a BFS over every word reachable by commutation swaps
+# and rotations, and a greedy normal form that rescans for blockers.  The
+# package works on traces instead.  The graph is read only through
+# ``g.adj`` and ``g.vertices``.
+
+def _letter_key(g, letter):
+    return (g.vertices.index(letter[0]), 0 if letter[1] > 0 else 1)
+
+
+def _commutes(g, x, y):
+    return x == y or y in g.adj[x]
+
+
+def _scan_reduce(g, word):
+    """Delete a cancellable pair x ... x^-1 (everything between commuting
+    with x) until none is left."""
+    letters = list(word)
+    changed = True
+    while changed:
+        changed = False
+        for i, (gi, si) in enumerate(letters):
+            for j in range(i + 1, len(letters)):
+                gj, sj = letters[j]
+                if gj == gi and sj == -si:
+                    del letters[j], letters[i]
+                    changed = True
+                    break
+                if not _commutes(g, gi, gj):
+                    break
+            if changed:
+                break
+    return tuple(letters)
+
+
+def _cyclic_reduce(g, word):
+    w = _scan_reduce(g, word)
+    while True:
+        for r in range(len(w)):
+            red = _scan_reduce(g, w[r:] + w[:r])
+            if len(red) < len(w):
+                w = red
+                break
+        else:
+            return w
+
+
+def word_lexnf(g, word):
+    """Greedily pull the least unblocked letter of a reduced word to the
+    front."""
+    rest = list(word)
+    out = []
+    while rest:
+        best = None
+        for i, let in enumerate(rest):
+            if any(not _commutes(g, rest[j][0], let[0]) for j in range(i)):
+                continue
+            if best is None or \
+                    _letter_key(g, let) < _letter_key(g, rest[best]):
+                best = i
+        out.append(rest.pop(best))
+    return tuple(out)
+
+
+def word_bfs_canonical(g, word, memo=None, budget=2_000_000):
+    """The least word reachable from a cyclic reduction of ``word`` by
+    commutation swaps and rotations; ``memo``, if given, maps every word
+    seen to the answer."""
+    w = _cyclic_reduce(g, word)
+    if memo is not None and w in memo:
+        return memo[w]
+    seen = {w}
+    frontier = [w]
+    best = w
+    keyf = lambda u: tuple(_letter_key(g, x) for x in u)
+    while frontier:
+        nxt = []
+        for u in frontier:
+            cands = [u[1:] + u[:1]]
+            for i in range(len(u) - 1):
+                if u[i][0] != u[i + 1][0] and u[i + 1][0] in g.adj[u[i][0]]:
+                    cands.append(u[:i] + (u[i + 1], u[i]) + u[i + 2:])
+            for c in cands:
+                if c not in seen:
+                    seen.add(c)
+                    nxt.append(c)
+                    if keyf(c) < keyf(best):
+                        best = c
+        if len(seen) > budget:
+            raise RuntimeError("oracle budget exceeded")
+        frontier = nxt
+    if memo is not None:
+        for u in seen:
+            memo[u] = best
+    return best

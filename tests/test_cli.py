@@ -160,3 +160,33 @@ def test_stab_pres_cli(files, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["n_generators"] >= 1 and data["n_relators"] >= 1
+
+
+F2_AUT = {"images": {"a": "a b", "b": "b"},
+          "inverse_images": {"a": "a b^-1", "b": "b"}}
+
+
+@pytest.mark.parametrize("bad", ["a z", "b^2 a"])
+@pytest.mark.parametrize("command", [
+    ["reduce", "--word", "{bad}"],
+    ["conj", "--word", "a", "--word2", "{bad}"],
+    ["conj", "--word", "{bad}", "--word2", "a"],
+    ["orbit", "--tuple", "a", "--tuple2", "b; {bad}"],
+    ["wh-stab", "--vertex", "a", "--tuple", "{bad}"],
+    ["wh-stab", "--vertex", "a", "--tuple", "b", "--support",
+     "{bad_support}"],
+    ["peak-reduce", "--tuple", "{bad}", "--aut", "{aut}"],
+    ["peak-reduce", "--tuple", "a", "--aut", "{bad_aut}"],
+])
+def test_bad_letters_are_input_errors(files, capsys, tmp_path, command, bad):
+    aut = tmp_path / "aut.json"
+    aut.write_text(json.dumps(F2_AUT))
+    bad_aut = tmp_path / "bad_aut.json"
+    bad_aut.write_text(json.dumps(
+        {"images": {"a": "a b", "b": bad},
+         "inverse_images": F2_AUT["inverse_images"]}))
+    argv = [a.format(bad=bad, bad_support=bad.replace(" ", ","), aut=aut,
+                     bad_aut=bad_aut) for a in command]
+    code, out, err = run(argv + ["--graph", files["f2"], "--json"], capsys)
+    assert code == 1
+    assert err.startswith("input error: ") and out == ""

@@ -1,15 +1,16 @@
 import random
+from itertools import product
 
 import pytest
 
-from raagaut.core import (ClassTuple, DefiningGraph, canonical_class,
-                          class_tuple, conjugate_test, cyclically_reduce,
-                          enumerate_classes, format_word, graph_invariants,
-                          inverse_word, lexnf, parse_word, reduce_word,
-                          words_equal)
-from raagaut.errors import InputError
+from raagaut.core import (DefiningGraph, canonical_class, class_tuple,
+                          conjugate_test, cyclically_reduce,
+                          enumerate_classes, enumerate_reduced_words,
+                          format_word, graph_invariants, inverse_word, lexnf,
+                          parse_tuple, parse_word, reduce_word, words_equal)
+from raagaut.errors import BudgetError, InputError
 
-from .oracles import bfs_minimal_length
+from .oracles import (bfs_minimal_length, word_bfs_canonical, word_lexnf)
 
 W = parse_word
 
@@ -37,7 +38,6 @@ def test_reduce_matches_bfs_oracle_on_random_words(f2, split, path4):
 
 def test_reduce_exhaustive_short_words(split):
     letters = [(v, s) for v in split.vertices for s in (1, -1)]
-    from itertools import product
     for n in range(5):
         for w in product(letters, repeat=n):
             assert len(reduce_word(split, w)) == \
@@ -45,8 +45,11 @@ def test_reduce_exhaustive_short_words(split):
 
 
 def test_unknown_generator_rejected(f2):
+    # letters are checked where words are parsed, not by reduce_word
     with pytest.raises(InputError):
-        reduce_word(f2, W("a z"))
+        parse_tuple(f2, "a z")
+    with pytest.raises(InputError):
+        f2.check_letters((("a", 2),))
 
 
 def test_canonical_class_running_example(split):
@@ -140,6 +143,58 @@ def test_lexnf_element_equality(split):
                 w2 = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
                 assert lexnf(split, w) == lexnf(split, w2)
                 assert words_equal(split, w, w2)
+
+
+@pytest.mark.parametrize("name", ["f2", "k3", "split", "path4"])
+def test_lexnf_matches_oracle_exhaustive(name, request):
+    g = request.getfixturevalue(name)
+    for n in range(7):
+        for w in enumerate_reduced_words(g, n):
+            assert lexnf(g, w) == word_lexnf(g, w), w
+
+
+@pytest.mark.parametrize("name", ["f2", "k3", "split", "path4"])
+def test_canonical_class_matches_oracle_exhaustive(name, request):
+    # Conjugate words share a class, so the oracle runs once per rotation
+    # class; canonical_class runs on every word.
+    g = request.getfixturevalue(name)
+    letters = [(v, s) for v in g.vertices for s in (1, -1)]
+    memo = {}
+    by_rotation = {}
+    for n in range(7):
+        for w in product(letters, repeat=n):
+            rot = min((w[i:] + w[:i] for i in range(n)), default=())
+            if rot not in by_rotation:
+                by_rotation[rot] = word_bfs_canonical(g, rot, memo)
+            assert canonical_class(g, w).word == by_rotation[rot], w
+
+
+def test_lexnf_and_canonical_class_match_oracle_random(nodom6):
+    rng = random.Random(5)
+    letters = [(v, s) for v in nodom6.vertices for s in (1, -1)]
+    for _ in range(300):
+        w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 20)))
+        red = reduce_word(nodom6, w)
+        assert lexnf(nodom6, red) == word_lexnf(nodom6, red)
+        assert canonical_class(nodom6, w).word == \
+            word_bfs_canonical(nodom6, w)
+
+
+def test_canonical_class_trace_states_stay_few():
+    # A word BFS visits 4^(m+1) words of the class of (a b c d)^m, 256 at
+    # m = 3; they fall into 6 traces for every m.
+    for m in range(3, 21):
+        for budget in (6, 64):
+            split = DefiningGraph(["a", "b", "c", "d"],
+                                  [["a", "b"], ["c", "d"]])
+            cls = canonical_class(split, W("a b c d") * m, budget=budget)
+            assert cls.word == W("a b c d") * m
+
+
+def test_canonical_class_budget_names_counter(split):
+    with pytest.raises(BudgetError,
+                       match=r"^canonical_class trace states 6 > budget 5$"):
+        canonical_class(split, W("a b c d") * 3, budget=5)
 
 
 def test_cyclic_reduce_all_rotations_reduced(split):

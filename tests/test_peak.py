@@ -19,14 +19,6 @@ from raagaut.peak import (Factorization, Peak, classic_from_support,
 W = parse_word
 
 
-@pytest.fixture
-def nodom6():
-    """a and b do not dominate each other; both dominate c non-adjacently."""
-    return DefiningGraph(["a", "b", "c", "m", "e", "f"],
-                         [["a", "m"], ["a", "f"], ["b", "m"], ["b", "e"],
-                          ["c", "m"]])
-
-
 def random_whitehead(g, a, rng, maxexp=2):
     basis = za_basis(g, a)
     n = len(g.adjdom_class(a))
