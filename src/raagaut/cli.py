@@ -40,6 +40,8 @@ def load_matrix(path):
         vals = [int(x) for x in toks[4:]]
     except ValueError as exc:
         raise InputError("bad matrix file: %s" % exc)
+    if min(n, k, m) < 0:
+        raise InputError("matrix file has a negative dimension")
     if d <= 0 or len(vals) != (n + k) * m:
         raise InputError("matrix file has the wrong number of entries")
     rows = [[Fraction(vals[i * m + j], d) for j in range(m)]

@@ -417,7 +417,8 @@ def graph_invariants(g: DefiningGraph) -> dict:
 def enumerate_reduced_words(g, length, budget=None):
     """All graphically reduced words of exactly the given length.
 
-    Used by minimization and the orbit graph; budget caps the output size.
+    Used by the exhaustive minimization (``minimize --full-enum``, through
+    ``enumerate_classes``); budget caps the output size.
     """
     letters = [(v, s) for v in g.vertices for s in (1, -1)]
     out = []

@@ -1,6 +1,7 @@
 """Small exact matrix helpers over Python integers and Fractions.
 
 Matrices are tuples of tuples.  Everything here is exact; no floats.
+All rational elimination goes through ``rref``.
 """
 
 from __future__ import annotations
@@ -29,76 +30,65 @@ def mat_eq(A, B):
 
 
 def mat_det(A):
-    """Exact determinant by fraction-free elimination on a small matrix."""
-    n = len(A)
-    m = [list(map(Fraction, row)) for row in A]
-    det = Fraction(1)
+    """Determinant of a square integer matrix by Bareiss elimination: every
+    intermediate entry is a minor of A, so all divisions are exact.  Raises
+    InputError on a non-integral entry."""
+    m = [[int(x) for x in row] for row in A]
+    if any(a != x for r, row in zip(m, A) for a, x in zip(r, row)):
+        raise InputError("integer matrix expected")
+    n = len(m)
+    sign, prev = 1, 1
     for j in range(n):
-        piv = next((i for i in range(j, n) if m[i][j] != 0), None)
+        piv = next((i for i in range(j, n) if m[i][j]), None)
         if piv is None:
             return 0
         if piv != j:
             m[j], m[piv] = m[piv], m[j]
-            det = -det
-        det *= m[j][j]
+            sign = -sign
+        p = m[j][j]
         for i in range(j + 1, n):
-            f = m[i][j] / m[j][j]
-            for t in range(j, n):
-                m[i][t] -= f * m[j][t]
-    if det.denominator != 1:
-        raise AssertionError("integer determinant expected")
-    return int(det)
+            mi, f = m[i], m[i][j]
+            for t in range(j + 1, n):
+                mi[t] = (mi[t] * p - f * m[j][t]) // prev
+        prev = p
+    return sign * prev
 
 
-def mat_inverse(A):
-    """Exact inverse over the rationals (Gauss-Jordan)."""
-    n = len(A)
-    m = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(A)]
-    for j in range(n):
-        piv = next((i for i in range(j, n) if m[i][j] != 0), None)
+def rref(rows, ncols):
+    """Gauss-Jordan over the rationals on the first ``ncols`` columns; any
+    further columns (an augmented block) are carried along.  Returns the
+    reduced rows as lists of Fractions and the pivot column of each of the
+    first ``len(pivots)`` rows."""
+    m = [list(map(Fraction, row)) for row in rows]
+    pivots = []
+    for j in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][j] != 0), None)
         if piv is None:
-            raise InputError("matrix is singular")
-        m[j], m[piv] = m[piv], m[j]
-        f = m[j][j]
-        m[j] = [x / f for x in m[j]]
-        for i in range(n):
-            if i != j and m[i][j] != 0:
-                f = m[i][j]
-                m[i] = [x - f * y for x, y in zip(m[i], m[j])]
-    return tuple(tuple(row[n:]) for row in m)
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        f = m[r][j]
+        m[r] = [x / f for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][j] != 0:
+                g = m[i][j]
+                m[i] = [x - g * y for x, y in zip(m[i], m[r])]
+        pivots.append(j)
+    return m, pivots
 
 
 def int_inverse(A):
-    """Inverse of an integer matrix with determinant +-1."""
-    d = mat_det(A)
-    if d not in (1, -1):
+    """Inverse of an integer matrix with determinant +-1, from one
+    elimination of [A | I]; InputError if the inverse is not integral."""
+    n = len(A)
+    m, pivots = rref([list(row) + [int(i == j) for j in range(n)]
+                      for i, row in enumerate(A)], n)
+    inv = [row[n:] for row in m]
+    if len(pivots) < n or any(x.denominator != 1 for row in inv for x in row):
         raise InputError("matrix is not invertible over the integers")
-    inv = mat_inverse(A)
     return tuple(tuple(int(x) for x in row) for row in inv)
-
-
-def mat_rank(A):
-    if not A or not A[0]:
-        return 0
-    m = [list(map(Fraction, row)) for row in A]
-    rows, cols = len(m), len(m[0])
-    rank = 0
-    for j in range(cols):
-        piv = next((i for i in range(rank, rows) if m[i][j] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        f = m[rank][j]
-        m[rank] = [x / f for x in m[rank]]
-        for i in range(rows):
-            if i != rank and m[i][j] != 0:
-                g = m[i][j]
-                m[i] = [x - g * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
 
 
 def left_kernel_basis(A):
@@ -106,31 +96,16 @@ def left_kernel_basis(A):
     rows = len(A)
     cols = len(A[0]) if rows else 0
     # kernel of A^T v = 0 with v in Q^rows
-    m = [[Fraction(A[i][j]) for i in range(rows)] for j in range(cols)]
-    piv_of_col = {}
-    r = 0
-    for j in range(rows):
-        piv = next((i for i in range(r, cols) if m[i][j] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        f = m[r][j]
-        m[r] = [x / f for x in m[r]]
-        for i in range(cols):
-            if i != r and m[i][j] != 0:
-                g = m[i][j]
-                m[i] = [x - g * y for x, y in zip(m[i], m[r])]
-        piv_of_col[j] = r
-        r += 1
-        if r == cols:
-            break
+    m, pivots = rref([[A[i][j] for i in range(rows)] for j in range(cols)],
+                     rows)
     basis = []
-    free = [j for j in range(rows) if j not in piv_of_col]
-    for j in free:
+    for j in range(rows):
+        if j in pivots:
+            continue
         v = [Fraction(0)] * rows
         v[j] = Fraction(1)
-        for pc, pr in piv_of_col.items():
-            v[pc] = -m[pr][j]
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][j]
         basis.append(tuple(v))
     return basis
 
@@ -140,28 +115,12 @@ def solve_right(A, b):
     None if inconsistent."""
     rows = len(A)
     cols = len(A[0]) if rows else 0
-    m = [list(map(Fraction, A[i])) + [Fraction(b[i])] for i in range(rows)]
-    piv_cols = []
-    r = 0
-    for j in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][j] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        f = m[r][j]
-        m[r] = [x / f for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][j] != 0:
-                g = m[i][j]
-                m[i] = [x - g * y for x, y in zip(m[i], m[r])]
-        piv_cols.append(j)
-        r += 1
-    for i in range(r, rows):
-        if m[i][cols] != 0:
-            return None
+    m, pivots = rref([list(A[i]) + [b[i]] for i in range(rows)], cols)
+    if any(row[cols] != 0 for row in m[len(pivots):]):
+        return None
     x = [Fraction(0)] * cols
-    for i, j in enumerate(piv_cols):
-        x[j] = m[i][cols]
+    for row, j in zip(m, pivots):
+        x[j] = row[cols]
     return tuple(x)
 
 

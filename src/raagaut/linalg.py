@@ -13,7 +13,7 @@ from fractions import Fraction
 from .errors import BudgetError, InputError
 from .exactmat import (int_inverse, integer_row_hnf_transform,
                        left_kernel_basis, lcm, lcm_of_denominators, mat_det,
-                       mat_eq, mat_identity, mat_mul, mat_rank, solve_right)
+                       mat_eq, mat_identity, mat_mul, rref, solve_right)
 
 SCHREIER_VERTEX_BUDGET = 1_000_000
 
@@ -129,7 +129,6 @@ def gq_normal_form(rows, n, k):
     if len(rows) != n + k:
         raise InputError("expected %d rows" % (n + k))
     m = len(rows[0]) if rows else 0
-    Q = BlockMatrix.identity(n, k)
     qA = [list(r) for r in mat_identity(n)]
     qB = [[Fraction(0)] * k for _ in range(n)]
     bottom = rows[n:]
@@ -218,15 +217,12 @@ def is_normal_form(rows, n, k) -> bool:
     if len(rows) != n + k:
         raise InputError("expected %d rows" % (n + k))
     m = len(rows[0]) if rows else 0
-    bottom = rows[n:]
     # first bullet: wherever a bottom-row combination can reach a column
-    # without touching previous columns, the top of that column is zero
-    for j in range(m):
-        prev_rank = mat_rank([row[:j] for row in bottom]) if j else 0
-        cur_rank = mat_rank([row[:j + 1] for row in bottom])
-        if cur_rank == prev_rank + 1:
-            if any(rows[i][j] != 0 for i in range(n)):
-                return False
+    # without touching previous columns (a pivot column of the bottom
+    # block), the top of that column is zero
+    for j in rref(rows[n:], m)[1]:
+        if any(rows[i][j] != 0 for i in range(n)):
+            return False
     # Hermite shape of the top block
     pivots = []
     for i in range(n):
@@ -489,15 +485,11 @@ def gl_word(C):
             rowop(i0, col, -1)
             rowop(col, i0, 1)
             # now row col holds the old row i0, row i0 holds its negative
-        if M[col][col] == -1:
-            # negate later with a paired row; find partner among later cols
-            pass
         # clear the rest of the column
         for i in range(m):
             if i != col and M[i][col] != 0:
                 q = -M[i][col] // M[col][col]
                 rowop(i, col, q)
-        # clear entries of row col right of the diagonal at the end
     # now M is diagonal with +-1 entries and determinant 1
     negs = [i for i in range(m) if M[i][i] == -1]
     if len(negs) % 2:

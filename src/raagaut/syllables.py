@@ -12,7 +12,7 @@ with everything in the star.
 from __future__ import annotations
 
 from .aut import GenWhitehead, eta, za_basis
-from .core import ClassTuple, ConjClass, canonical_class, format_word
+from .core import ClassTuple, ConjClass, canonical_class
 from .errors import BudgetError, InputError
 
 
@@ -312,66 +312,3 @@ def _blocks_from_counts(counts):
         blocks.append((start, count, cyclic))
         start += count
     return blocks
-
-
-def decomposition_from_words(g, a, classes_of_syllable_words) -> Decomposition:
-    """Build a decomposition from explicit syllable words, one list per
-    class; linear syllables share endpoints with their cyclic successor.
-
-    Mainly for tests and debugging against hand-written decompositions.
-    """
-    star = g.star(a)
-    cls_set = g.adjdom_class(a)
-    cls_order = sorted(cls_set, key=g.index.get)
-    sylls = []
-    blocks = []
-    for words in classes_of_syllable_words:
-        start = len(sylls)
-        first = tuple(words[0])
-        cyclic = all(gen in star for gen, _ in first)
-        if cyclic:
-            if len(words) != 1:
-                raise InputError("a cyclic syllable must sit alone")
-            exps = [0] * len(cls_order)
-            u = []
-            for gen, s in first:
-                if gen in cls_set:
-                    exps[cls_order.index(gen)] += s
-                else:
-                    u.append((gen, s))
-            sylls.append(Syllable(None, None, exps, u))
-            blocks.append((start, 1, True))
-            continue
-        for word in words:
-            word = tuple(word)
-            left, right = word[0], word[-1]
-            if left[0] in star or right[0] in star:
-                raise InputError("syllable endpoints must lie outside the "
-                                 "star")
-            exps = [0] * len(cls_order)
-            u = []
-            for gen, s in word[1:-1]:
-                if gen not in star:
-                    raise InputError("syllable middle must lie in the star")
-                if gen in cls_set:
-                    exps[cls_order.index(gen)] += s
-                else:
-                    u.append((gen, s))
-            sylls.append(Syllable(left, right, exps, u))
-        blocks.append((start, len(words), False))
-    return Decomposition(g, a, sylls, blocks)
-
-
-def dump(d: Decomposition) -> str:
-    """Debug dump, one syllable per line as ``c | u | d``."""
-    lines = []
-    for s in d.syllables:
-        mid = []
-        for gen, e in zip(d.cls_order, s.exps):
-            mid.extend([(gen, 1 if e > 0 else -1)] * abs(e))
-        mid.extend(s.u)
-        left = format_word((s.left,)) if s.left else "1"
-        right = format_word((s.right,)) if s.right else "1"
-        lines.append("%s | %s | %s" % (left, format_word(tuple(mid)) or "1",
-                                       right))
-    return "\n".join(lines)

@@ -5,6 +5,7 @@ plain tuples) and implements textbook algorithms directly, so it shares no
 code path with the package.
 """
 
+from fractions import Fraction
 from itertools import product
 
 
@@ -321,3 +322,168 @@ def word_bfs_canonical(g, word, memo=None, budget=2_000_000):
         for u in seen:
             memo[u] = best
     return best
+
+
+# -- exact linear algebra by separate Fraction eliminations -------------------
+# One hand-written Gauss-Jordan per question, as the package had them before
+# it shared one rref: the determinant by rational elimination, the integral
+# inverse as determinant check plus inverse, the rank, the left kernel and
+# one solution of A x = b.
+
+def fraction_det(A):
+    """Determinant over the rationals (a Fraction)."""
+    n = len(A)
+    m = [list(map(Fraction, row)) for row in A]
+    det = Fraction(1)
+    for j in range(n):
+        piv = next((i for i in range(j, n) if m[i][j] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != j:
+            m[j], m[piv] = m[piv], m[j]
+            det = -det
+        det *= m[j][j]
+        for i in range(j + 1, n):
+            f = m[i][j] / m[j][j]
+            for t in range(j, n):
+                m[i][t] -= f * m[j][t]
+    return det
+
+
+def fraction_inverse(A):
+    """Inverse over the rationals, or None if A is singular."""
+    n = len(A)
+    m = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(A)]
+    for j in range(n):
+        piv = next((i for i in range(j, n) if m[i][j] != 0), None)
+        if piv is None:
+            return None
+        m[j], m[piv] = m[piv], m[j]
+        f = m[j][j]
+        m[j] = [x / f for x in m[j]]
+        for i in range(n):
+            if i != j and m[i][j] != 0:
+                f = m[i][j]
+                m[i] = [x - f * y for x, y in zip(m[i], m[j])]
+    return tuple(tuple(row[n:]) for row in m)
+
+
+def fraction_int_inverse(A):
+    """Inverse of an integer matrix with determinant +-1, or None."""
+    if fraction_det(A) not in (1, -1):
+        return None
+    return tuple(tuple(int(x) for x in row) for row in fraction_inverse(A))
+
+
+def fraction_rank(A):
+    if not A or not A[0]:
+        return 0
+    m = [list(map(Fraction, row)) for row in A]
+    rows, cols = len(m), len(m[0])
+    rank = 0
+    for j in range(cols):
+        piv = next((i for i in range(rank, rows) if m[i][j] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        f = m[rank][j]
+        m[rank] = [x / f for x in m[rank]]
+        for i in range(rows):
+            if i != rank and m[i][j] != 0:
+                g = m[i][j]
+                m[i] = [x - g * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def fraction_left_kernel(A):
+    """Basis of { x : x A = 0 }, one vector per non-pivot column of A^T."""
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    m = [[Fraction(A[i][j]) for i in range(rows)] for j in range(cols)]
+    piv_of_col = {}
+    r = 0
+    for j in range(rows):
+        piv = next((i for i in range(r, cols) if m[i][j] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        f = m[r][j]
+        m[r] = [x / f for x in m[r]]
+        for i in range(cols):
+            if i != r and m[i][j] != 0:
+                g = m[i][j]
+                m[i] = [x - g * y for x, y in zip(m[i], m[r])]
+        piv_of_col[j] = r
+        r += 1
+        if r == cols:
+            break
+    basis = []
+    for j in range(rows):
+        if j in piv_of_col:
+            continue
+        v = [Fraction(0)] * rows
+        v[j] = Fraction(1)
+        for pc, pr in piv_of_col.items():
+            v[pc] = -m[pr][j]
+        basis.append(tuple(v))
+    return basis
+
+
+def fraction_solve_right(A, b):
+    """The solution of A x = b with zeros at the free columns, or None."""
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    m = [list(map(Fraction, A[i])) + [Fraction(b[i])] for i in range(rows)]
+    piv_cols = []
+    r = 0
+    for j in range(cols):
+        piv = next((i for i in range(r, rows) if m[i][j] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        f = m[r][j]
+        m[r] = [x / f for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][j] != 0:
+                g = m[i][j]
+                m[i] = [x - g * y for x, y in zip(m[i], m[r])]
+        piv_cols.append(j)
+        r += 1
+    if any(m[i][cols] != 0 for i in range(r, rows)):
+        return None
+    x = [Fraction(0)] * cols
+    for i, j in enumerate(piv_cols):
+        x[j] = m[i][cols]
+    return tuple(x)
+
+
+def rank_is_normal_form(rows, n, k):
+    """The normal-form test with the bottom block's pivot columns found as
+    the columns where the rank of the column prefix grows."""
+    rows = [list(map(Fraction, r)) for r in rows]
+    m = len(rows[0]) if rows else 0
+    bottom = rows[n:]
+    for j in range(m):
+        prev_rank = fraction_rank([row[:j] for row in bottom]) if j else 0
+        cur_rank = fraction_rank([row[:j + 1] for row in bottom])
+        if cur_rank == prev_rank + 1:
+            if any(rows[i][j] != 0 for i in range(n)):
+                return False
+    pivots = []
+    for i in range(n):
+        nzcols = [j for j in range(m) if rows[i][j] != 0]
+        if not nzcols:
+            return all(x == 0 for row in rows[i:n] for x in row)
+        p = nzcols[0]
+        if pivots and p <= pivots[-1]:
+            return False
+        if rows[i][p] <= 0:
+            return False
+        if not all(0 <= rows[i2][p] < rows[i][p] for i2 in range(i)):
+            return False
+        pivots.append(p)
+    return True

@@ -20,10 +20,10 @@ from raagaut.linalg import (BlockMatrix, evaluate_matrix_word, evaluate_word,
                             gd_stabilizer, gl_presentation, gq_normal_form,
                             schreier_g1_in_gd)
 from raagaut.peak import (compose_factors, peak_reduce, omega_factorization)
-from raagaut.syllables import decompose, decomposition_from_words, nu, \
-    nu_matrix
+from raagaut.syllables import decompose, nu, nu_matrix
 from raagaut.whorbit import wh_orbit_decide, wh_stabilizer_presentation
 
+from .decompositions import decomposition_from_words
 from .oracles import oracle_equivalent
 
 W = parse_word

@@ -190,3 +190,18 @@ def test_bad_letters_are_input_errors(files, capsys, tmp_path, command, bad):
     code, out, err = run(argv + ["--graph", files["f2"], "--json"], capsys)
     assert code == 1
     assert err.startswith("input error: ") and out == ""
+
+
+@pytest.mark.parametrize("text", ["2 -1 1 1\n5\n", "-1 2 1 1\n5\n",
+                                  "1 1 -1 1\n"])
+@pytest.mark.parametrize("command", ["matrix-nf", "matrix-orbit",
+                                     "matrix-stab"])
+def test_negative_matrix_dimensions_are_input_errors(files, capsys, command,
+                                                     text):
+    mat = files["dir"] / "negative.mat"
+    mat.write_text(text)
+    code, out, err = run([command, "--matrix", str(mat), "--matrix2",
+                          str(mat), "--json"], capsys)
+    assert code == 1
+    assert err == "input error: matrix file has a negative dimension\n"
+    assert out == ""

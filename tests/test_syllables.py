@@ -7,9 +7,10 @@ from raagaut.aut import GenWhitehead, make_whitehead, mult_tag, theta, \
     za_basis
 from raagaut.core import ClassTuple, canonical_class, class_tuple, parse_word
 from raagaut.syllables import (Decomposition, act_on_decomposition, decompose,
-                               decomposition_from_words, dump, length_delta,
-                               matching_permutations, nu, nu_matrix,
-                               syllable_count)
+                               length_delta, matching_permutations, nu,
+                               nu_matrix, syllable_count)
+
+from .decompositions import decomposition_from_words
 
 W = parse_word
 
@@ -225,11 +226,3 @@ def test_syllable_counts_match_letters_outside_star(split):
     assert syllable_count(split, "a", U.entries[0]) == 3
     d = decompose(split, "a", U)
     assert len(d.syllables) == 3
-
-
-def test_dump_format(split):
-    U = class_tuple(split, [W("c a c b c b")])
-    d = decompose(split, "a", U)
-    text = dump(d)
-    assert len(text.splitlines()) == 3
-    assert all("|" in line for line in text.splitlines())

@@ -8,10 +8,12 @@ from raagaut.aut import (GenWhitehead, apply_gw, eta, identity_automorphism,
 from raagaut.core import class_tuple, parse_word
 from raagaut.errors import InputError
 from raagaut.linalg import evaluate_word, g1_orbit_decide
-from raagaut.syllables import decompose, decomposition_from_words, nu_matrix
+from raagaut.syllables import decompose, nu_matrix
 from raagaut.whorbit import (parse_support, wh_orbit_decide,
                              wh_stabilizer_presentation,
                              zero_columns_from_support)
+
+from .decompositions import decomposition_from_words
 
 W = parse_word
 
