@@ -49,10 +49,9 @@ def load_matrix(path):
     return rows, n, k, m, d
 
 
-def format_matrix(rows, n, k, d=None):
+def format_matrix(rows, n, k, m, d=None):
     if d is None:
         d = target_lcd(rows)
-    m = len(rows[0]) if rows else 0
     lines = ["%d %d %d %d" % (n, k, m, d)]
     for row in rows:
         ints = []
@@ -297,9 +296,9 @@ def cmd_matrix_nf(args):
     N, Q = gq_normal_form(rows, n, k)
     if not mat_eq(Q.act(rows), N) or not is_normal_form(N, n, k):
         raise AssertionError("certificate failed re-verification")
-    emit(args, {"normal_form": format_matrix(N, n, k),
+    emit(args, {"normal_form": format_matrix(N, n, k, m),
                 "Q": block_to_json(Q)},
-         ["normal form:", format_matrix(N, n, k), "Q:",
+         ["normal form:", format_matrix(N, n, k, m), "Q:",
           json.dumps(block_to_json(Q))])
     return EXIT_OK
 

@@ -205,10 +205,6 @@ def reduce_word(g: DefiningGraph, word) -> Word:
     return tuple(letters)
 
 
-def is_graphically_reduced(g, word):
-    return len(reduce_word(g, word)) == len(word)
-
-
 def words_equal(g, w1, w2):
     """Equality as group elements."""
     return not reduce_word(g, tuple(w1) + inverse_word(tuple(w2)))
@@ -252,19 +248,22 @@ def lexnf(g, word) -> Word:
 
 
 def cyclically_reduce(g, word) -> Word:
-    """A minimal-length representative of the conjugacy class of ``word``."""
+    """A minimal-length representative of the conjugacy class of ``word``.
+
+    A reduced word is cyclically reduced unless a letter that can come to
+    its front has its inverse among the letters that can go to its back;
+    such a pair is deleted, until none is left."""
     w = reduce_word(g, word)
     while True:
-        better = None
-        for r in range(len(w)):
-            rot = w[r:] + w[:r]
-            red = reduce_word(g, rot)
-            if len(red) < len(w):
-                better = red
+        backs = _front_positions(g, w[::-1])
+        for (gen, s), i in _front_positions(g, w).items():
+            j = backs.get((gen, -s))
+            if j is not None:
+                j = len(w) - 1 - j
+                w = tuple(x for t, x in enumerate(w) if t != i and t != j)
                 break
-        if better is None:
+        else:
             return w
-        w = better
 
 
 class ConjClass:
@@ -301,8 +300,8 @@ _CONJ_TOKEN = object()
 
 
 def _front_positions(g, trace):
-    """First position of each distinct letter of a trace that can be
-    commuted to its front."""
+    """Letter -> first position, for each distinct letter of a trace that
+    can be commuted to its front."""
     seen = set()
     out = {}
     for i, let in enumerate(trace):
@@ -310,7 +309,7 @@ def _front_positions(g, trace):
         if let not in out and seen <= g.star(gen):
             out[let] = i
         seen.add(gen)
-    return out.values()
+    return out
 
 
 def canonical_class(g, word, budget=CANONICAL_STATE_BUDGET) -> ConjClass:
@@ -338,7 +337,7 @@ def canonical_class(g, word, budget=CANONICAL_STATE_BUDGET) -> ConjClass:
         while frontier:
             nxt = []
             for u in frontier:
-                for i in _front_positions(g, u):
+                for i in _front_positions(g, u).values():
                     v = lexnf(g, u[:i] + u[i + 1:] + u[i:i + 1])
                     if v not in seen:
                         seen.add(v)
@@ -414,6 +413,19 @@ def graph_invariants(g: DefiningGraph) -> dict:
     return out
 
 
+def _cancels_back(g, word, let):
+    """Whether ``let`` appended to the reduced ``word`` cancels: the nearest
+    letter of its generator, past letters that commute with it, is its
+    inverse."""
+    gen, s = let
+    for other, t in reversed(word):
+        if other == gen:
+            return t == -s
+        if not g.adjacent(gen, other):
+            return False
+    return False
+
+
 def enumerate_reduced_words(g, length, budget=None):
     """All graphically reduced words of exactly the given length.
 
@@ -431,9 +443,8 @@ def enumerate_reduced_words(g, length, budget=None):
                 raise BudgetError("word enumeration budget exceeded")
             continue
         for let in letters:
-            nw = w + (let,)
-            if is_graphically_reduced(g, nw):
-                stack.append(nw)
+            if not _cancels_back(g, w, let):
+                stack.append(w + (let,))
     return out
 
 

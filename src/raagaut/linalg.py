@@ -29,6 +29,8 @@ class BlockMatrix:
         self.n = n
         self.k = k
         self.A = tuple(tuple(int(x) for x in row) for row in A)
+        if self.A != tuple(map(tuple, A)):
+            raise InputError("top-left block must be integral")
         self.B = tuple(tuple(Fraction(x) for x in row) for row in B)
         if len(self.A) != n or any(len(r) != n for r in self.A):
             raise InputError("bad A block shape")
@@ -50,8 +52,6 @@ class BlockMatrix:
                     raise InputError("matrix is not block upper triangular "
                                      "with identity bottom")
         A = [[M[i][j] for j in range(n)] for i in range(n)]
-        if any(Fraction(x).denominator != 1 for row in A for x in row):
-            raise InputError("top-left block must be integral")
         B = [[M[i][j] for j in range(n, n + k)] for i in range(n)]
         return cls(n, k, A, B)
 
@@ -872,58 +872,41 @@ def gd_stab_word(X: BlockMatrix, struct: StabStructure):
 
 # -- Schreier graph of the integral subgroup ---------------------------------
 
-def schreier_g1_in_gd(named_gens, n, k, d, max_vertices=None):
+def schreier_g1_in_gd(named_gens, n, k, d, start, max_vertices=None):
     """Schreier graph of the integral block group inside the denominator-d
-    group: vertices are all residue matrices mod d, edges follow the crossed
-    homomorphism update."""
+    group on the component of the residue ``start``: vertices are residue
+    matrices mod d, edges follow the crossed homomorphism update.
+
+    Each generator permutes the residues, so a search along the edges out of
+    ``start`` reaches the whole component; it computes each residue's
+    images once.  Vertices are numbered by their entries read from the last
+    one, and edges are added generator by generator in vertex order.
+    ``max_vertices`` caps the vertices built."""
     if max_vertices is None:
         max_vertices = SCHREIER_VERTEX_BUDGET
-    total = d ** (n * k)
-    if total > max_vertices:
-        raise BudgetError("Schreier graph would have %d vertices" % total)
+    moves = [(C.A, rho(C, d)) for _, C in named_gens]
+    images = {}  # residue -> its image under each generator
+    frontier = [start]
+    while frontier:
+        res = frontier.pop()
+        if res in images:
+            continue
+        if len(images) == max_vertices:
+            raise BudgetError("schreier_g1_in_gd vertices %d > budget %d"
+                              % (max_vertices + 1, max_vertices))
+        images[res] = [
+            tuple(tuple((sum(A[i][t] * res[t][j] for t in range(n))
+                         + rc[i][j]) % d for j in range(k))
+                  for i in range(n))
+            for A, rc in moves]
+        frontier.extend(images[res])
     graph = LabeledGraph()
-
-    def all_residues(idx):
-        if idx == n * k:
-            yield ()
-            return
-        for rest in all_residues(idx + 1):
-            for v in range(d):
-                yield (v,) + rest
-
-    verts = []
-    for flat in all_residues(0):
-        res = tuple(tuple(flat[i * k + j] for j in range(k))
-                    for i in range(n))
-        verts.append(res)
+    for res in sorted(images, key=lambda r: sum(r, ())[::-1]):
         graph.add_vertex(res)
-    for name, C in named_gens:
-        rc = rho(C, d)
-        for res in verts:
-            prod = tuple(
-                tuple((sum(C.A[i][t] * res[t][j] for t in range(n))
-                       + rc[i][j]) % d for j in range(k))
-                for i in range(n))
-            graph.add_edge(graph.vindex[res], graph.vindex[prod], name, C)
+    for i, (name, C) in enumerate(named_gens):
+        for v, res in enumerate(graph.payloads):
+            graph.add_edge(v, graph.vindex[images[res][i]], name, C)
     return graph
-
-
-def subgraph_component(graph, start):
-    """The component of a vertex as a fresh LabeledGraph (Schreier property
-    is inherited)."""
-    comp = graph.component(start)
-    sub = LabeledGraph()
-    keys = {}
-    for key, idx in graph.vindex.items():
-        if idx in comp:
-            keys[idx] = key
-    for idx in sorted(comp):
-        sub.add_vertex(keys[idx], graph.payloads[idx])
-    for (s, dst, name, payload) in graph.edges:
-        if s in comp:
-            sub.add_edge(sub.vindex[keys[s]], sub.vindex[keys[dst]], name,
-                         payload)
-    return sub
 
 
 # -- orbit decision -----------------------------------------------------------
@@ -988,13 +971,14 @@ def g1_orbit_decide(rows_a, rows_b, n, k, zero_columns=frozenset(),
     if d == 1:
         D = QB.inv().mul(QA)
     else:
-        struct, pres = gd_stabilizer(NA, n, k2, d)
-        graph = schreier_g1_in_gd(pres.generators, n, k2, d, max_vertices)
-        va = graph.vindex[rho(QA, d)]
-        vb = graph.vindex[rho(QB, d)]
-        parent = graph.bfs_tree(va)
-        if vb not in parent:
+        _, pres = gd_stabilizer(NA, n, k2, d)
+        ra = rho(QA, d)
+        graph = schreier_g1_in_gd(pres.generators, n, k2, d, ra,
+                                  max_vertices)
+        vb = graph.vindex.get(rho(QB, d))
+        if vb is None:
             return OrbitCertificate(reason="schreier-component")
+        parent = graph.bfs_tree(graph.vindex[ra])
         C = graph.path_element(graph.tree_path(parent, vb),
                                _letter(BlockMatrix.inv), BlockMatrix.mul,
                                BlockMatrix.identity(n, k2))
@@ -1012,10 +996,10 @@ def g1_orbit_decide(rows_a, rows_b, n, k, zero_columns=frozenset(),
 class StabPresCtx:
     """Everything needed to rewrite integral stabilizer elements over the
     output generators: the conjugator, the structured stabilizer, and the
-    Schreier component with its spanning tree and generator naming."""
+    Schreier component with the generator names of its non-tree edges."""
 
-    __slots__ = ("n", "k", "zero_columns", "Q", "d", "struct", "graph",
-                 "base", "parent", "gen_of_edge", "payloads")
+    __slots__ = ("n", "k", "zero_columns", "Q", "struct", "graph", "base",
+                 "gen_of_edge")
 
     def __init__(self, **kw):
         for key, val in kw.items():
@@ -1043,7 +1027,8 @@ def cover_presentation(pres: Presentation, graph: LabeledGraph, base,
     """Presentation of the finite-index subgroup read off a connected
     Schreier graph of it, as the fundamental group of the covering complex:
     one generator per non-tree edge, one relator per (vertex, relator of the
-    base presentation).
+    base presentation).  Returns the presentation and the generator name of
+    each non-tree edge index.
     """
     parent = graph.bfs_tree(base)
     if len(parent) != graph.n_vertices():
@@ -1066,7 +1051,9 @@ def cover_presentation(pres: Presentation, graph: LabeledGraph, base,
             if end != v:
                 raise AssertionError("relator did not close up in the cover")
             relators.append(word)
-    return Presentation(gens, relators), gen_of_edge, parent
+    return Presentation(gens, relators), gen_of_edge
+
+
 def g1_stabilizer_presentation(rows_a, n, k, zero_columns=frozenset(),
                                max_vertices=None):
     """Finite presentation of the stabilizer of an integer matrix in the
@@ -1082,19 +1069,20 @@ def g1_stabilizer_presentation(rows_a, n, k, zero_columns=frozenset(),
     N, Q = gq_normal_form(ra, n, k2)
     d = lcm(target_lcd(N), Q.denominator())
     struct, pres_n = gd_stabilizer(N, n, k2, d)
-    graph_full = schreier_g1_in_gd(pres_n.generators, n, k2, d, max_vertices)
-    base_key = rho(Q.inv(), d)
-    comp = subgraph_component(graph_full, graph_full.vindex[base_key])
-    # relabel payloads by conjugating into the stabilizer of A
     Qi = Q.inv()
-    comp.edges = [(s, dst, name, Qi.mul(payload).mul(Q))
-                  for s, dst, name, payload in comp.edges]
-    base = comp.vindex[base_key]
+    base_key = rho(Qi, d)
+    graph = schreier_g1_in_gd(pres_n.generators, n, k2, d, base_key,
+                              max_vertices)
+    # relabel payloads by conjugating into the stabilizer of A
     pres_conj = Presentation(
         [(nm, Qi.mul(p).mul(Q)) for nm, p in pres_n.generators],
         pres_n.relators)
-    pres, gen_of_edge, parent = cover_presentation(
-        pres_conj, comp, base, BlockMatrix.mul, BlockMatrix.inv,
+    conj = dict(pres_conj.generators)
+    graph.edges = [(s, dst, name, conj[name])
+                   for s, dst, name, _ in graph.edges]
+    base = graph.vindex[base_key]
+    pres, gen_of_edge = cover_presentation(
+        pres_conj, graph, base, BlockMatrix.mul, BlockMatrix.inv,
         BlockMatrix.identity(n, k2))
     lifted = [(nm, _lift_block(p, k, zero_columns))
               for nm, p in pres.generators]
@@ -1104,10 +1092,9 @@ def g1_stabilizer_presentation(rows_a, n, k, zero_columns=frozenset(),
             raise AssertionError("stabilizer generator is not integral")
         if not mat_eq(p.act(rows_a), tuple(rows_a)):
             raise AssertionError("stabilizer generator moves the matrix")
-    ctx = StabPresCtx(n=n, k=k, zero_columns=zero_columns, Q=Q, d=d,
-                      struct=struct, graph=comp, base=base, parent=parent,
-                      gen_of_edge=gen_of_edge,
-                      payloads={nm: p for nm, p in pres.generators})
+    ctx = StabPresCtx(n=n, k=k, zero_columns=zero_columns, Q=Q,
+                      struct=struct, graph=graph, base=base,
+                      gen_of_edge=gen_of_edge)
     return pres, ctx
 
 

@@ -191,8 +191,7 @@ def wh_stabilizer_presentation(g, a, S, U: ClassTuple, max_vertices=None,
         compose_gw, lambda x: x.invert(),
         GenWhitehead(identity_automorphism(g), mult_tag(g, a),
                      _skip_check=True))
-    ctx = WhStabCtx(g=g, a=a, S=S, graph=graph, base=base, mctx=mctx,
-                    pres=pres, n=n, k=k, transversal=transversal,
+    ctx = WhStabCtx(g=g, a=a, mctx=mctx, n=n, k=k, transversal=transversal,
                     vertices=vertices)
     for name, wh in pres.generators:
         if apply_gw(wh, U) != U:
@@ -211,8 +210,7 @@ def wh_stabilizer_presentation(g, a, S, U: ClassTuple, max_vertices=None,
 
 
 class WhStabCtx:
-    __slots__ = ("g", "a", "S", "graph", "base", "mctx", "pres", "n", "k",
-                 "transversal", "vertices")
+    __slots__ = ("g", "a", "mctx", "n", "k", "transversal", "vertices")
 
     def __init__(self, **kw):
         for key, val in kw.items():

@@ -226,6 +226,42 @@ def edge_scan_bfs_tree(edges, base):
     return parent
 
 
+# -- Schreier graphs over every residue ----------------------------------------
+# The Schreier graph of the integral block group inside the denominator-d
+# group on all d^(n*k) residue matrices, numbered with the first flattened
+# entry running fastest and with edges added generator by generator, and the
+# component of one residue copied out in that numbering.  Block matrices are
+# read only through ``.A`` and ``.B``.
+
+def all_residue_schreier(named_gens, n, k, d):
+    """(vertex keys, edges (src, dst, name, payload)) on every residue."""
+    keys = []
+    for flat in product(range(d), repeat=n * k):
+        flat = flat[::-1]
+        keys.append(tuple(tuple(flat[i * k + j] for j in range(k))
+                          for i in range(n)))
+    index = {key: v for v, key in enumerate(keys)}
+    edges = []
+    for name, C in named_gens:
+        rc = [[int(x * d) % d for x in row] for row in C.B]
+        for v, res in enumerate(keys):
+            img = tuple(tuple((sum(C.A[i][t] * res[t][j] for t in range(n))
+                               + rc[i][j]) % d for j in range(k))
+                        for i in range(n))
+            edges.append((v, index[img], name, C))
+    return keys, edges
+
+
+def residue_component(keys, edges, start):
+    """Keys and edges of the component of the residue ``start``, with the
+    vertices renumbered in their order in the full graph."""
+    comp = sorted(edge_scan_component(edges, keys.index(start)))
+    new = {v: i for i, v in enumerate(comp)}
+    return ([keys[v] for v in comp],
+            [(new[s], new[d], name, p) for s, d, name, p in edges
+             if s in new])
+
+
 # -- conjugacy classes by word BFS --------------------------------------------
 # The canonical class word and the lexicographic normal form straight from
 # their definitions: a BFS over every word reachable by commutation swaps

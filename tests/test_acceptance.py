@@ -58,11 +58,10 @@ def test_criterion_1_worked_matrix_example():
     ok &= mats["c"].A == ((-1, 0), (0, 1))
     ok &= len(pres.relators) == 5
 
-    graph = schreier_g1_in_gd(pres.generators, 2, 1, 2)
-    ok &= graph.n_vertices() == 4
-    comp0 = graph.component(graph.vindex[((0,), (0,))])
-    comp1 = graph.component(graph.vindex[((1,), (0,))])
-    ok &= len(comp0) == 1 and len(comp1) == 3
+    comp0 = schreier_g1_in_gd(pres.generators, 2, 1, 2, ((0,), (0,)))
+    comp1 = schreier_g1_in_gd(pres.generators, 2, 1, 2, ((1,), (0,)))
+    ok &= comp0.n_vertices() == 1 and comp1.n_vertices() == 3
+    ok &= len(set(comp0.vindex) | set(comp1.vindex)) == 4
 
     cert = g1_orbit_decide(A, [[0], [0], [2]], 2, 1)
     ok &= cert.witness is None

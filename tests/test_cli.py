@@ -59,6 +59,15 @@ def test_matrix_nf_example(files, capsys):
     assert data["Q"]["B"] == [["-1/2"], ["0"]]
 
 
+def test_matrix_nf_keeps_columns_of_empty_matrix(files, capsys):
+    mat = files["dir"] / "empty.mat"
+    mat.write_text("0 0 3 1\n")
+    code, out, _ = run(["matrix-nf", "--matrix", str(mat), "--json"],
+                       capsys)
+    assert code == 0
+    assert json.loads(out)["normal_form"] == "0 0 3 1"
+
+
 def test_matrix_orbit_negative(files, capsys):
     nf = files["dir"] / "nf.mat"
     nf.write_text("2 1 1 1\n0\n0\n2\n")
@@ -136,7 +145,7 @@ def test_missing_file(capsys):
 
 
 def test_budget_exit(files, capsys):
-    # the worked example needs a four-vertex Schreier graph; cap below it
+    # the worked example's Schreier component has three vertices; cap below
     nf = files["dir"] / "nf.mat"
     nf.write_text("2 1 1 1\n0\n0\n2\n")
     code, _, err = run(["matrix-orbit", "--matrix", files["example"],
@@ -144,6 +153,19 @@ def test_budget_exit(files, capsys):
                        capsys)
     assert code == 2
     assert "budget" in err
+
+
+@pytest.mark.parametrize("command", ["matrix-orbit", "matrix-stab"])
+def test_schreier_budget_counts_component_vertices(files, capsys, command):
+    # the worked example's component holds 3 of the 4 residues mod 2
+    argv = [command, "--matrix", files["example"], "--matrix2",
+            files["example"], "--json", "--max-vertices"]
+    code, _, err = run(argv + ["3"], capsys)
+    assert code == 0 and err == ""
+    code, out, err = run(argv + ["2"], capsys)
+    assert code == 2 and out == ""
+    assert err == ("budget exhausted: schreier_g1_in_gd vertices 3 > "
+                   "budget 2\n")
 
 
 def test_stab_gens_cli(files, capsys):

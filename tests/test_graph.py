@@ -1,5 +1,6 @@
 """The graph layer: per-vertex edge maps, the spanning tree and its walks,
-and the coset tracer, checked against edge-scan references."""
+and the coset tracer, checked against edge-scan references; and the
+Schreier component builder, checked against the graph on every residue."""
 
 import random
 
@@ -13,13 +14,15 @@ from raagaut.linalg import (BlockMatrix, LabeledGraph, gd_stabilizer,
                             gq_normal_form, invert_pword, schreier_g1_in_gd,
                             target_lcd)
 
-from .oracles import edge_scan_bfs_tree, edge_scan_component
+from .oracles import (all_residue_schreier, edge_scan_bfs_tree,
+                      edge_scan_component, residue_component)
 from .test_linalg import unimodular
 
 
-def seeded_schreier(seed, n, k, d):
-    """Schreier graph of the stabilizer of a seeded matrix whose normal form
-    has denominator d, so the graph has d^(n*k) vertices."""
+def seeded_generators(seed, n, k, d):
+    """Stabilizer generators of a seeded matrix whose normal form has
+    denominator d, so the Schreier graph has d^(n*k) residues in all; and
+    that denominator."""
     rng = random.Random(seed)
     P = unimodular(rng, n)
     top = [[(P[i][j] if j < n else 0) + d * rng.randint(-2, 2)
@@ -28,16 +31,43 @@ def seeded_schreier(seed, n, k, d):
     N, Q = gq_normal_form(rows, n, k)
     dd = lcm(target_lcd(N), Q.denominator())
     _, pres = gd_stabilizer(N, n, k, dd)
-    return schreier_g1_in_gd(pres.generators, n, k, dd)
+    return pres.generators, dd
 
 
-def example_schreier():
-    _, pres = gd_stabilizer(((0,), (0,), (2,)), 2, 1, 2)
-    return schreier_g1_in_gd(pres.generators, 2, 1, 2)
+EXAMPLE_STARTS = (((0,), (0,)), ((1,), (0,)))
+
+
+def example_generators():
+    return gd_stabilizer(((0,), (0,), (2,)), 2, 1, 2)[1].generators
+
+
+def example_schreier(start):
+    return schreier_g1_in_gd(example_generators(), 2, 1, 2, start)
 
 
 SCHREIER_CASES = [(1, 1, 4), (2, 1, 9), (3, 1, 16), (4, 1, 25),
                   (5, 2, 2), (6, 2, 3), (7, 2, 4)]
+
+
+def reference_components(gens, n, k, d):
+    """(start, keys, edges) for one start per component of the all-residue
+    reference graph: its last residue."""
+    keys, edges = all_residue_schreier(gens, n, k, d)
+    left = set(keys)
+    for key in reversed(keys):
+        if key in left:
+            comp_keys, comp_edges = residue_component(keys, edges, key)
+            yield key, comp_keys, comp_edges
+            left -= set(comp_keys)
+
+
+def assert_matches_reference(graph, keys, edges):
+    """Same vertex numbering, payloads and edge list as the component
+    copied out of the all-residue graph."""
+    assert list(graph.vindex.items()) == [(key, v)
+                                          for v, key in enumerate(keys)]
+    assert graph.payloads == keys
+    assert graph.edges == edges
 
 
 def assert_matches_edge_scan(graph):
@@ -54,14 +84,37 @@ def assert_matches_edge_scan(graph):
 
 
 def test_example_schreier_matches_edge_scan():
-    assert_matches_edge_scan(example_schreier())
+    for start in EXAMPLE_STARTS:
+        assert_matches_edge_scan(example_schreier(start))
 
 
 @pytest.mark.parametrize("seed,k,d", SCHREIER_CASES)
 def test_seeded_schreier_matches_edge_scan(seed, k, d):
-    graph = seeded_schreier(seed, 2, k, d)
-    assert graph.n_vertices() == d ** (2 * k)
-    assert_matches_edge_scan(graph)
+    gens, dd = seeded_generators(seed, 2, k, d)
+    total = 0
+    for start, keys, _ in reference_components(gens, 2, k, dd):
+        graph = schreier_g1_in_gd(gens, 2, k, dd, start)
+        assert graph.n_vertices() == len(keys)
+        assert_matches_edge_scan(graph)
+        total += len(keys)
+    assert total == d ** (2 * k)
+
+
+def test_example_schreier_matches_all_residues():
+    gens = example_generators()
+    keys, edges = all_residue_schreier(gens, 2, 1, 2)
+    assert len(keys) == 4
+    for start in EXAMPLE_STARTS:
+        assert_matches_reference(example_schreier(start),
+                                 *residue_component(keys, edges, start))
+
+
+@pytest.mark.parametrize("seed,k,d", SCHREIER_CASES)
+def test_seeded_schreier_matches_all_residues(seed, k, d):
+    gens, dd = seeded_generators(seed, 2, k, d)
+    for start, keys, edges in reference_components(gens, 2, k, dd):
+        assert_matches_reference(schreier_g1_in_gd(gens, 2, k, dd, start),
+                                 keys, edges)
 
 
 def test_orbit_graphs_match_edge_scan(f2, split):
@@ -72,10 +125,12 @@ def test_orbit_graphs_match_edge_scan(f2, split):
 
 
 def test_tree_elements_equal_plain_fold():
-    graph = seeded_schreier(4, 2, 1, 25)
-    base = graph.n_vertices() - 1
+    gens, dd = seeded_generators(4, 2, 1, 25)
+    start = ((24,), (24,))
+    graph = schreier_g1_in_gd(gens, 2, 1, dd, start)
+    base = graph.vindex[start]
     parent = graph.bfs_tree(base)
-    assert len(parent) == 600
+    assert len(parent) == graph.n_vertices() == 600
     letter = lambda p, fwd: p if fwd else p.inv()  # noqa: E731
     mul = BlockMatrix.mul
     ident = BlockMatrix.identity(2, 1)
@@ -94,7 +149,7 @@ def test_tree_elements_equal_plain_fold():
 
 
 def test_path_word_traces_base_to_vertex():
-    graph = example_schreier()
+    graph = example_schreier(((1,), (0,)))
     base = graph.vindex[((1,), (0,))]
     parent = graph.bfs_tree(base)
     for v in parent:

@@ -14,7 +14,7 @@ from raagaut.linalg import (BlockMatrix, LabeledGraph, Presentation,
                             gq_normal_form, invert_pword, is_normal_form,
                             presentation_from_finite_index, rho,
                             schreier_g1_in_gd, semidirect_presentation,
-                            subgraph_component, target_lcd)
+                            target_lcd)
 
 EXAMPLE_A = [[1], [0], [2]]
 
@@ -75,22 +75,24 @@ def test_example_gd_stabilizer():
 def test_example_schreier_components():
     N = ((0,), (0,), (2,))
     _, pres = gd_stabilizer(N, 2, 1, 2)
-    graph = schreier_g1_in_gd(pres.generators, 2, 1, 2)
-    assert graph.n_vertices() == 4
-    comp0 = graph.component(graph.vindex[((0,), (0,))])
-    comp1 = graph.component(graph.vindex[((1,), (0,))])
-    assert len(comp0) == 1
-    assert len(comp1) == 3
+    graph0 = schreier_g1_in_gd(pres.generators, 2, 1, 2, ((0,), (0,)))
+    graph1 = schreier_g1_in_gd(pres.generators, 2, 1, 2, ((1,), (0,)))
+    assert graph0.n_vertices() == 1
+    assert graph1.n_vertices() == 3
+    # the two components cover all four residues mod 2
+    assert set(graph0.vindex) | set(graph1.vindex) == {
+        ((x,), (y,)) for x in range(2) for y in range(2)}
     # label regularity: exactly one in and one out edge per label per vertex
-    for v in range(4):
-        assert sorted(graph.out[v]) == ["a", "b", "c"]
-        assert sorted(graph.inc[v]) == ["a", "b", "c"]
-        for name in ("a", "b", "c"):
-            s, _, label, _ = graph.edges[graph.out[v][name]]
-            assert (s, label) == (v, name)
-            _, d, label, _ = graph.edges[graph.inc[v][name]]
-            assert (d, label) == (v, name)
-    assert len(graph.edges) == 4 * 3
+    for graph in (graph0, graph1):
+        for v in range(graph.n_vertices()):
+            assert sorted(graph.out[v]) == ["a", "b", "c"]
+            assert sorted(graph.inc[v]) == ["a", "b", "c"]
+            for name in ("a", "b", "c"):
+                s, _, label, _ = graph.edges[graph.out[v][name]]
+                assert (s, label) == (v, name)
+                _, d, label, _ = graph.edges[graph.inc[v][name]]
+                assert (d, label) == (v, name)
+        assert len(graph.edges) == graph.n_vertices() * 3
 
 
 def test_example_orbit_negative_but_gq_equal():
@@ -295,8 +297,8 @@ def test_rho_crossed_homomorphism_law():
 
 
 def test_schreier_empty_generators():
-    graph = schreier_g1_in_gd([], 2, 1, 2)
-    assert graph.n_vertices() == 4
+    graph = schreier_g1_in_gd([], 2, 1, 2, ((1,), (0,)))
+    assert graph.vindex == {((1,), (0,)): 0}
     assert len(graph.edges) == 0
 
 
@@ -397,14 +399,15 @@ def test_presentation_from_finite_index_index_one():
 def test_cover_presentation_counts_example():
     N = ((0,), (0,), (2,))
     _, pres = gd_stabilizer(N, 2, 1, 2)
-    graph = schreier_g1_in_gd(pres.generators, 2, 1, 2)
-    comp = subgraph_component(graph, graph.vindex[((1,), (0,))])
-    out, gen_of_edge, parent = cover_presentation(
-        pres, comp, comp.vindex[((1,), (0,))],
+    graph = schreier_g1_in_gd(pres.generators, 2, 1, 2, ((1,), (0,)))
+    out, gen_of_edge = cover_presentation(
+        pres, graph, graph.vindex[((1,), (0,))],
         lambda x, y: x.mul(y), lambda x: x.inv(),
         BlockMatrix.identity(2, 1))
     assert len(out.generators) == 7
     assert len(out.relators) == 15
+    assert sorted(gen_of_edge.values()) == sorted(
+        nm for nm, _ in out.generators)
 
 
 def test_matrix_stab_trivial_gl1():
@@ -416,3 +419,11 @@ def test_matrix_stab_trivial_gl1():
     for rel in pres.relators:
         assert evaluate_matrix_word(rel, payloads) == \
             BlockMatrix.identity(1, 0)
+
+
+def test_block_matrix_rejects_non_integral_top_left():
+    with pytest.raises(InputError, match="^top-left block must be integral$"):
+        BlockMatrix(1, 0, [[Fraction(3, 2)]], [[]])
+    with pytest.raises(InputError, match="^top-left block must be integral$"):
+        BlockMatrix.from_full(1, 1, [[Fraction(1, 2), 0], [0, 1]])
+    assert BlockMatrix(1, 0, [[Fraction(-2, 2)]], [[]]).A == ((-1,),)

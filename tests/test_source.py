@@ -46,3 +46,45 @@ def test_imports_are_used_and_at_module_level():
         nested += ["%s:%d" % (path.name, line) for line in lines]
     assert not unused, "unused imports: %s" % unused
     assert not nested, "imports inside functions or blocks: %s" % nested
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _names_used(tree):
+    """Names a module reads, through a name, an attribute or an import,
+    outside the body of the module-level definition of that same name."""
+    used = set()
+    for node in tree.body:
+        own = getattr(node, "name", None)
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                name = sub.id
+            elif isinstance(sub, ast.Attribute):
+                name = sub.attr
+            elif isinstance(sub, ast.alias):
+                name = sub.name.split(".")[-1]
+            else:
+                continue
+            if name != own:
+                used.add(name)
+    return used
+
+
+def test_public_definitions_are_named_elsewhere():
+    """Every public module-level function and class of the package is named
+    somewhere in the package, the tests or the bench besides its own
+    definition."""
+    defined, used = [], set()
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")) \
+        + sorted((ROOT / "bench").glob("*.py"))
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used |= _names_used(tree)
+        if path.parent == SRC:
+            defined += [(path.name, node.lineno, node.name)
+                        for node in tree.body
+                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                        and not node.name.startswith("_")]
+    unnamed = ["%s:%d %s" % item for item in defined if item[2] not in used]
+    assert not unnamed, "public definitions named nowhere: %s" % unnamed
