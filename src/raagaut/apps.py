@@ -7,6 +7,12 @@ enumerated by sweeping candidate class-exponent matrices over the tuple's
 own syllable frames: the substitution form of the action makes this sweep
 exhaustive, so no global enumeration of shorter tuples is needed (that
 enumeration stays available behind a flag for cross-checking).
+
+The orbit graph is taken up to the finite group P of signed graph
+symmetries, as in Whitehead's algorithm and McCool's: its vertices are
+P-orbit representatives, an orbit map places every tuple of the component
+at its representative, the sweeps run once per representative, and the
+loops include the symmetries that fix each representative.
 """
 
 from __future__ import annotations
@@ -189,58 +195,78 @@ def minimize_tuple(g, U: ClassTuple, full_enum=False, max_vertices=None):
     return cur, total
 
 
+class OrbitGraph(LabeledGraph):
+    """The orbit graph on P-orbit representatives.  ``orbit`` maps every
+    tuple of the component, in discovery order, to (representative vertex,
+    p) with p an automorphism in P and p(representative) = tuple."""
+
+    def __init__(self):
+        super().__init__()
+        self.orbit = {}
+
+
 def build_delta(g, W_min: ClassTuple, with_stabilizers=False,
                 max_vertices=DELTA_VERTEX_BUDGET, max_schreier=None):
-    """The finite orbit graph on the component of a minimal tuple: vertices
-    are same-length tuples reachable from it, edges carry permutation
-    automorphisms, one witness per reachable pair per multiplier class, and
-    (optionally) stabilizer generating loops."""
-    graph = LabeledGraph()
-    graph.add_vertex(W_min)
-    frontier = [W_min]
+    """The finite orbit graph on the component of a minimal tuple, taken up
+    to the finite group P of signed graph symmetries
+    (``permutation_automorphisms``).
+
+    Vertices are P-orbit representatives, the first one W_min, and edges
+    carry automorphisms.  A new tuple's whole P-orbit enters ``orbit`` at
+    once, in the order of P; ``max_vertices`` caps the tuples there, not
+    the representatives.  Reachability is P-equivariant, because p
+    conjugates the Whitehead group of [a] onto that of [p(a)], so
+    ``wh_reachable`` sweeps only at representatives: a witness wh from R to
+    q(R') becomes the edge R -> R' carrying q^-1 wh.  Every non-identity
+    element of the setwise stabilizer Stab_P(R) is a loop at R.
+    ``with_stabilizers`` adds the Whitehead stabilizer generators at R;
+    with those, the loops of this graph generate the stabilizer of W_min
+    (Schreier's lemma on the groupoid of the all-tuple graph)."""
+    perms = [p.aut for p in permutation_automorphisms(g)]
+    graph = OrbitGraph()
+    orbit = graph.orbit
     edge_seen = set()
-    while frontier:
-        W1 = frontier.pop(0)
-        src = graph.vindex[W1]
-        for p in permutation_automorphisms(g):
-            target = p.aut.apply_to_tuple(W1)
-            if target not in graph.vindex:
-                if graph.n_vertices() >= max_vertices:
-                    raise BudgetError("orbit graph vertex budget exceeded")
-                graph.add_vertex(target)
-                frontier.append(target)
-            key = (src, p.aut.key())
-            if key not in edge_seen:
-                edge_seen.add(key)
-                graph.add_edge(src, graph.vindex[target], "p%d" % len(
-                    graph.edges), p)
+
+    def add_edge(src, dst, aut, prefix):
+        if aut.is_identity():
+            return
+        key = (src, aut.key())
+        if key not in edge_seen:
+            edge_seen.add(key)
+            graph.add_edge(src, dst, "%s%d" % (prefix, len(graph.edges)), aut)
+
+    def locate(W):
+        """(representative vertex, q) for W; a new W represents its orbit."""
+        if W not in orbit:
+            rep = graph.add_vertex(W)
+            for p in perms:
+                image = p.apply_to_tuple(W)
+                if image not in orbit:
+                    if len(orbit) >= max_vertices:
+                        raise BudgetError("build_delta tuples %d > budget %d"
+                                          % (len(orbit) + 1, max_vertices))
+                    orbit[image] = (rep, p)
+                if image == W:
+                    add_edge(rep, rep, p, "p")
+        return orbit[W]
+
+    locate(W_min)
+    src = 0
+    while src < graph.n_vertices():
+        R = graph.payloads[src]
         for a in _class_reps(g):
-            for target, wh in wh_reachable(g, a, W1,
+            for target, wh in wh_reachable(g, a, R,
                                            max_vertices=max_schreier):
-                if target not in graph.vindex:
-                    if graph.n_vertices() >= max_vertices:
-                        raise BudgetError("orbit graph vertex budget "
-                                          "exceeded")
-                    graph.add_vertex(target)
-                    frontier.append(target)
-                key = (src, wh.aut.key())
-                if key not in edge_seen:
-                    edge_seen.add(key)
-                    graph.add_edge(src, graph.vindex[target],
-                                   "w%d" % len(graph.edges), wh)
-    if with_stabilizers:
-        for W1, src in list(graph.vindex.items()):
-            for a in _class_reps(g):
+                dst, q = locate(target)
+                add_edge(src, dst, q.invert().compose(wh.aut), "w")
+            if with_stabilizers:
                 pres, _ = wh_stabilizer_presentation(
-                    g, a, frozenset(), W1, max_vertices=max_schreier)
-                for name, wh in pres.generators:
-                    key = (src, wh.aut.key())
-                    if key not in edge_seen:
-                        edge_seen.add(key)
-                        graph.add_edge(src, src, "s%d" % len(graph.edges),
-                                       wh)
-    for (src, dst, name, wh) in graph.edges:
-        if wh.aut.apply_to_tuple(graph.payloads[src]) != graph.payloads[dst]:
+                    g, a, frozenset(), R, max_vertices=max_schreier)
+                for _, wh in pres.generators:
+                    add_edge(src, src, wh.aut, "s")
+        src += 1
+    for (src, dst, _, aut) in graph.edges:
+        if aut.apply_to_tuple(graph.payloads[src]) != graph.payloads[dst]:
             raise AssertionError("orbit graph edge label mismatch")
     return graph
 
@@ -254,25 +280,32 @@ def _delta_cached(g, W_min, with_stabilizers, max_vertices, max_schreier):
     return cache[key]
 
 
-def _aut_letter(wh, fwd):
-    """The automorphism an edge carries in the direction it is crossed."""
-    return wh.aut if fwd else wh.aut.invert()
+def _aut_letter(aut, fwd):
+    """The automorphism an orbit-graph edge carries in the direction it is
+    crossed."""
+    return aut if fwd else aut.invert()
+
+
+def _wh_letter(wh, fwd):
+    """The same for an edge of the presentation complex."""
+    return _aut_letter(wh.aut, fwd)
 
 
 def _compose(x, y):
     return x.compose(y)
 
 
-def _tree_auts(g, graph, parent):
+def _tree_auts(g, graph, parent, letter):
     """The automorphism of the tree path base -> v, for every vertex."""
-    return graph.tree_elements(parent, _aut_letter, _compose,
+    return graph.tree_elements(parent, letter, _compose,
                                identity_automorphism(g))
 
 
 def aut_orbit_decide(g, U: ClassTuple, V: ClassTuple,
                      max_vertices=DELTA_VERTEX_BUDGET, max_schreier=None):
     """An automorphism carrying U to V, or None: minimize both sides, then
-    look for V's minimum in the orbit graph component of U's minimum."""
+    look for V's minimum among the tuples of the orbit graph of U's
+    minimum, and follow the tree path to its representative."""
     if len(U.entries) != len(V.entries):
         return None
     U_min, mu = minimize_tuple(g, U, max_vertices=max_schreier)
@@ -280,15 +313,13 @@ def aut_orbit_decide(g, U: ClassTuple, V: ClassTuple,
     if U_min.length != V_min.length:
         return None
     graph = _delta_cached(g, U_min, False, max_vertices, max_schreier)
-    if V_min not in graph.vindex:
+    if V_min not in graph.orbit:
         return None
+    rep, q = graph.orbit[V_min]
     parent = graph.bfs_tree(graph.vindex[U_min])
-    target = graph.vindex[V_min]
-    if target not in parent:
-        return None
-    alpha = graph.path_element(graph.tree_path(parent, target), _aut_letter,
+    alpha = graph.path_element(graph.tree_path(parent, rep), _aut_letter,
                                _compose, identity_automorphism(g))
-    result = mv.invert().compose(alpha).compose(mu)
+    result = mv.invert().compose(q).compose(alpha).compose(mu)
     if result.apply_to_tuple(U) != V:
         raise AssertionError("orbit witness does not map U to V")
     return result
@@ -298,20 +329,21 @@ def stabilizer_generators(g, W: ClassTuple,
                           max_vertices=DELTA_VERTEX_BUDGET,
                           max_schreier=None):
     """A finite generating set for the stabilizer of W: fundamental-group
-    generators of the orbit graph at the minimum, conjugated back."""
+    generators of the orbit graph at the minimum, whose loops include the
+    symmetries fixing each representative, conjugated back."""
     W_min, mu = minimize_tuple(g, W, max_vertices=max_schreier)
     graph = _delta_cached(g, W_min, True, max_vertices, max_schreier)
     base = graph.vindex[W_min]
     parent = graph.bfs_tree(base)
     tree_edges = {entry[0] for entry in parent.values() if entry is not None}
-    tree = _tree_auts(g, graph, parent)
+    tree = _tree_auts(g, graph, parent, _aut_letter)
     gens = []
     seen = set()
     mu_inv = mu.invert()
-    for idx, (s, d, name, wh) in enumerate(graph.edges):
+    for idx, (s, d, name, aut) in enumerate(graph.edges):
         if idx in tree_edges:
             continue
-        elem = tree[d].invert().compose(wh.aut).compose(tree[s])
+        elem = tree[d].invert().compose(aut).compose(tree[s])
         if elem.is_identity():
             continue
         out = mu_inv.compose(elem).compose(mu)
@@ -353,7 +385,7 @@ def build_Z(g, W_min: ClassTuple, max_vertices=60, max_schreier=None,
     """
     delta = _delta_cached(g, W_min, False, max_vertices, max_schreier)
     graph = LabeledGraph()
-    for key, idx in sorted(delta.vindex.items(), key=lambda kv: kv[1]):
+    for key in delta.orbit:
         graph.add_vertex(key)
     vertices = list(graph.vindex.keys())
 
@@ -665,7 +697,7 @@ def stabilizer_presentation(g, W: ClassTuple, max_vertices=60,
     if len(parent) != graph.n_vertices():
         raise AssertionError("presentation complex is not connected")
     tree_edges = {entry[0] for entry in parent.values() if entry is not None}
-    tree = _tree_auts(g, graph, parent)
+    tree = _tree_auts(g, graph, parent, _wh_letter)
     gen_of_edge = {}
     gens = []
     mu_inv = mu.invert()

@@ -108,7 +108,8 @@ def build_parser():
     ap.add_argument("--support", default="",
                     help="comma-separated letters, e.g. 'c,c^-1'")
     ap.add_argument("--max-vertices", type=int, default=None,
-                    help="Schreier/orbit graph vertex budget")
+                    help="Schreier graph vertex budget; orbit graph "
+                         "tuple budget")
     ap.add_argument("--max-depth", type=int, default=None,
                     help="search budget for peak reduction")
     ap.add_argument("--full-enum", action="store_true",
@@ -195,7 +196,10 @@ def cmd_minimize(args):
 def cmd_stab_gens(args):
     g = need_graph(args)
     W = parse_tuple(g, need(args, "tuple1", "--tuple"))
-    gens = stabilizer_generators(g, W)
+    kw = {}
+    if args.max_vertices:
+        kw["max_vertices"] = args.max_vertices
+    gens = stabilizer_generators(g, W, **kw)
     for x in gens:
         if x.apply_to_tuple(W) != W:
             raise AssertionError("certificate failed re-verification")

@@ -2,11 +2,17 @@
 
 Everything here works on its own representations (signed integer letters,
 plain tuples) and implements textbook algorithms directly, so it shares no
-code path with the package.
+code path with the package.  The one exception is the all-tuple orbit
+graph, which runs the package's own Whitehead sweeps at every tuple: it is
+the reference for the graph built on representatives, not for the sweeps.
 """
 
 from fractions import Fraction
 from itertools import product
+
+from raagaut.apps import wh_reachable
+from raagaut.aut import identity_automorphism, permutation_automorphisms
+from raagaut.whorbit import wh_stabilizer_presentation
 
 
 # -- free group cyclic words --------------------------------------------------
@@ -523,3 +529,198 @@ def rank_is_normal_form(rows, n, k):
             return False
         pivots.append(p)
     return True
+
+
+# -- the orbit graph on every tuple -------------------------------------------
+# A breadth-first search that adds the P edges and runs the Whitehead sweeps
+# at every tuple of the component, and the loop elements of a spanning tree:
+# the reference for the package's graph on P-orbit representatives.
+
+def all_tuple_orbit_graph(g, W_min, with_stabilizers=False):
+    """(tuples in BFS order, edges (src, dst, name, automorphism))."""
+    reps = []
+    for v in g.vertices:
+        if not any(v in g.adjdom_class(r) for r in reps):
+            reps.append(v)
+    index = {W_min: 0}
+    tuples = [W_min]
+    edges = []
+    edge_seen = set()
+
+    def add(src, target, aut, prefix):
+        if target not in index:
+            index[target] = len(tuples)
+            tuples.append(target)
+        key = (src, aut.key())
+        if key not in edge_seen:
+            edge_seen.add(key)
+            edges.append((src, index[target], prefix + str(len(edges)), aut))
+
+    for src, W1 in enumerate(tuples):   # the list grows: a FIFO frontier
+        for p in permutation_automorphisms(g):
+            add(src, p.aut.apply_to_tuple(W1), p.aut, "p")
+        for a in reps:
+            for target, wh in wh_reachable(g, a, W1):
+                add(src, target, wh.aut, "w")
+    if with_stabilizers:
+        for src, W1 in enumerate(tuples):
+            for a in reps:
+                pres, _ = wh_stabilizer_presentation(g, a, frozenset(), W1)
+                for _, wh in pres.generators:
+                    add(src, W1, wh.aut, "s")
+    return tuples, edges
+
+
+def all_tuple_loop_elements(g, edges):
+    """The element of every non-tree edge's loop at tuple 0."""
+    parent = edge_scan_bfs_tree(edges, 0)
+    tree = {}
+    for v, step in parent.items():
+        if step is None:
+            tree[v] = identity_automorphism(g)
+            continue
+        idx, fwd = step
+        s, d, _, aut = edges[idx]
+        tree[v] = aut.compose(tree[s]) if fwd else \
+            aut.invert().compose(tree[d])
+    tree_edges = {step[0] for step in parent.values() if step is not None}
+    return [tree[d].invert().compose(aut).compose(tree[s])
+            for idx, (s, d, _, aut) in enumerate(edges)
+            if idx not in tree_edges]
+
+
+# -- matrix groups over Z/p ---------------------------------------------------
+# Automorphisms act on H1 = Z^n; their images mod p generate a subgroup of
+# GL(n, Z/p), held as a base and strong generating set built by the
+# deterministic Schreier-Sims algorithm (Holt, Handbook of Computational
+# Group Theory, 4.4.2) on the standard basis vectors as base points.
+# Elements are (matrix, inverse) pairs acting on column vectors.
+
+def abelian_image(aut, p):
+    """(matrix, inverse) of aut on H1 mod p: entry (i, j) is the exponent
+    sum of vertex i in the image of vertex j."""
+    vs = aut.graph.vertices
+
+    def matrix(images):
+        return tuple(tuple(sum(s for x, s in images[vj] if x == vi) % p
+                           for vj in vs) for vi in vs)
+    return matrix(aut.images), matrix(aut.inverse_images)
+
+
+def _mat_mul_mod(A, B, p):
+    return tuple(tuple(sum(a * b for a, b in zip(row, col)) % p
+                       for col in zip(*B)) for row in A)
+
+
+class MatrixGroupChain:
+    def __init__(self, gens, n, p):
+        self.n, self.p = n, p
+        ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        self.ident = (ident, ident)
+        self.base = list(ident)   # e_j is row j of the identity
+        self.gens = [[x for x in sorted(set(gens)) if x[0] != ident]] + \
+            [[] for _ in range(n - 1)]
+        self.trans = [self._transversal(i) for i in range(n)]
+        i = n - 1
+        while i >= 0:
+            j = self._schreier_check(i)
+            i = i - 1 if j is None else j
+
+    def _mul(self, x, y):
+        p = self.p
+        return _mat_mul_mod(x[0], y[0], p), _mat_mul_mod(y[1], x[1], p)
+
+    def _act(self, x, v):
+        return tuple(sum(a * b for a, b in zip(row, v)) % self.p
+                     for row in x[0])
+
+    def _transversal(self, i):
+        """Base point i's orbit under level i: point -> element carrying
+        the base point there."""
+        trans = {self.base[i]: self.ident}
+        frontier = [self.base[i]]
+        while frontier:
+            pt = frontier.pop()
+            for s in self.gens[i]:
+                img = self._act(s, pt)
+                if img not in trans:
+                    trans[img] = self._mul(s, trans[pt])
+                    frontier.append(img)
+        return trans
+
+    def sift(self, x, start=0):
+        """x divided by transversal elements from level ``start`` on:
+        (residue, level where it left the chain)."""
+        for i in range(start, self.n):
+            u = self.trans[i].get(self._act(x, self.base[i]))
+            if u is None:
+                return x, i
+            x = self._mul((u[1], u[0]), x)
+        return x, self.n
+
+    def _schreier_check(self, i):
+        """Sift every Schreier generator of level i through the deeper
+        levels; add the first nontrivial residue to the levels down to
+        where it stopped and return that level, or None."""
+        for u in list(self.trans[i].values()):
+            for s in self.gens[i]:
+                su = self._mul(s, u)
+                v = self.trans[i][self._act(su, self.base[i])]
+                h, j = self.sift(self._mul((v[1], v[0]), su), i + 1)
+                if h != self.ident:
+                    for lev in range(i + 1, j + 1):
+                        self.gens[lev].append(h)
+                        self.trans[lev] = self._transversal(lev)
+                    return j
+        return None
+
+    def contains(self, x):
+        return self.sift(x)[0] == self.ident
+
+
+# -- abelian invariants -------------------------------------------------------
+
+def smith_diagonal(rows):
+    """The nonzero invariant factors of an integer matrix (its Smith normal
+    form diagonal, each dividing the next), by pivoting on the entry of
+    least absolute value."""
+    m = [list(r) for r in {tuple(r) for r in rows} if any(r)]
+    diag = []
+    while m:
+        _, pi, pj = min((abs(x), i, j) for i, r in enumerate(m)
+                        for j, x in enumerate(r) if x)
+        piv = m[pi][pj]
+        for i, r in enumerate(m):
+            if i != pi and r[pj]:
+                q = r[pj] // piv
+                m[i] = [x - q * y for x, y in zip(r, m[pi])]
+        for j, x in enumerate(m[pi]):
+            if j != pj and x:
+                q = x // piv
+                for r in m:
+                    r[j] -= q * r[pj]
+        if any(r[pj] for i, r in enumerate(m) if i != pi) or \
+                any(x for j, x in enumerate(m[pi]) if j != pj):
+            continue   # remainders left: a smaller pivot next time
+        bad = next((r for i, r in enumerate(m) if i != pi
+                    and any(x % piv for x in r)), None)
+        if bad is not None:
+            m[pi] = [x + y for x, y in zip(m[pi], bad)]
+            continue
+        diag.append(abs(piv))
+        m = [r for i, r in enumerate(m) if i != pi and any(r)]
+    return sorted(diag)
+
+
+def abelianization(generators, relators):
+    """(free rank, torsion invariant factors) of a presentation's
+    abelianization; relators are words of (generator, exponent)."""
+    col = {name: j for j, name in enumerate(generators)}
+    rows = []
+    for rel in relators:
+        row = [0] * len(generators)
+        for name, e in rel:
+            row[col[name]] += e
+        rows.append(row)
+    diag = smith_diagonal(rows)
+    return len(generators) - len(diag), [d for d in diag if d > 1]

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from raagaut import apps
 from raagaut.apps import (aut_orbit_decide, build_delta, build_Z,
                           minimize_tuple, stabilizer_generators,
                           stabilizer_presentation, wh_reachable)
@@ -10,7 +11,9 @@ from raagaut.aut import (Automorphism, identity_automorphism,
 from raagaut.core import DefiningGraph, class_tuple, parse_word
 from raagaut.linalg import evaluate_word
 
-from .oracles import oracle_equivalent, oracle_minimize
+from .oracles import (MatrixGroupChain, abelian_image, abelianization,
+                      all_tuple_loop_elements, all_tuple_orbit_graph,
+                      oracle_equivalent, oracle_minimize)
 
 W = parse_word
 
@@ -74,11 +77,118 @@ def test_wh_reachable_witnesses(split):
 def test_build_delta_edges_validated(f2):
     U = class_tuple(f2, [W("a")])
     graph = build_delta(f2, U)
-    # single-letter classes: the four signed letters
-    assert graph.n_vertices() == 4
-    for (src, dst, name, wh) in graph.edges:
-        assert wh.aut.apply_to_tuple(graph.payloads[src]) == \
+    # single-letter classes: the four signed letters, one P-orbit
+    assert graph.n_vertices() == 1
+    assert len(graph.orbit) == 4
+    for W1, (rep, p) in graph.orbit.items():
+        assert p.apply_to_tuple(graph.payloads[rep]) == W1
+    for (src, dst, name, aut) in graph.edges:
+        assert aut.apply_to_tuple(graph.payloads[src]) == \
             graph.payloads[dst]
+
+
+# -- the orbit graph on P-orbit representatives against the all-tuple graph --
+
+GRAPHS = ["f2", "split", "path4", "nodom6"]
+# minimal tuples whose orbit graphs have two representatives
+MULTI_REP = {"f2": "a a b b", "nodom6": "a b^-1 c^-1 c^-1"}
+
+
+def random_tuple(g, rng, arity=None):
+    letters = [(v, s) for v in g.vertices for s in (1, -1)]
+    arity = arity or rng.randint(1, 2)
+    while True:
+        U = class_tuple(g, [tuple(rng.choice(letters)
+                                  for _ in range(rng.randint(1, 3)))
+                            for _ in range(arity)])
+        if all(c.length for c in U.entries):
+            return U
+
+
+def orbit_graph_cases(g, name, seed, count):
+    """Seeded minimal tuples, then the graph's multi-representative one."""
+    rng = random.Random(seed)
+    cases = [minimize_tuple(g, random_tuple(g, rng))[0]
+             for _ in range(count)]
+    if name in MULTI_REP:
+        cases.append(class_tuple(g, [W(MULTI_REP[name])]))
+    return cases
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_orbit_map_holds_the_all_tuple_vertices(request, name):
+    g = request.getfixturevalue(name)
+    for W_min in orbit_graph_cases(g, name, 71, 3):
+        graph = build_delta(g, W_min)
+        tuples, _ = all_tuple_orbit_graph(g, W_min)
+        assert set(graph.orbit) == set(tuples)
+        assert next(iter(graph.orbit)) == W_min
+        for W1, (rep, p) in graph.orbit.items():
+            assert p.apply_to_tuple(graph.payloads[rep]) == W1
+        # each representative stands for its own P-orbit only
+        for v, R in enumerate(graph.payloads):
+            assert graph.orbit[R][0] == v
+    if name in MULTI_REP:
+        assert graph.n_vertices() == 2
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_orbit_decide_agrees_with_all_tuple_graph(request, name):
+    g = request.getfixturevalue(name)
+    rng = random.Random(72)
+    gens = laurence_generators(g)
+    answers = set()
+    for arity in (1, 2, 2):
+        U = random_tuple(g, rng, arity)
+        image = U
+        for _ in range(rng.randint(1, 3)):
+            image = rng.choice(gens).aut.apply_to_tuple(image)
+        other = random_tuple(g, rng, arity)
+        reachable, _ = all_tuple_orbit_graph(g, minimize_tuple(g, U)[0])
+        for V in (image, other):
+            expected = minimize_tuple(g, V)[0] in reachable
+            alpha = aut_orbit_decide(g, U, V)
+            assert (alpha is not None) == expected, (U, V)
+            if alpha is not None:
+                assert alpha.apply_to_tuple(U) == V
+            answers.add(expected)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_stabilizer_generators_match_all_tuple_loops(request, name):
+    g = request.getfixturevalue(name)
+    n = len(g.vertices)
+    for W_min in orbit_graph_cases(g, name, 73, 1):
+        mine = stabilizer_generators(g, W_min)
+        _, edges = all_tuple_orbit_graph(g, W_min, with_stabilizers=True)
+        theirs = all_tuple_loop_elements(g, edges)
+        for p in (2, 3):
+            A = {abelian_image(x, p) for x in mine}
+            B = {abelian_image(x, p) for x in theirs}
+            chain_a = MatrixGroupChain(A, n, p)
+            chain_b = MatrixGroupChain(B, n, p)
+            assert all(chain_a.contains(x) for x in B), (W_min, p)
+            assert all(chain_b.contains(x) for x in A), (W_min, p)
+
+
+@pytest.mark.parametrize("name,text,reps", [("split", "c a c b", 1),
+                                            ("f2", "a a b b", 2)])
+def test_build_delta_sweeps_once_per_representative(request, monkeypatch,
+                                                    name, text, reps):
+    g = request.getfixturevalue(name)
+    W_min, _ = minimize_tuple(g, class_tuple(g, [W(text)]))
+    calls = []
+
+    def counting(g, a, U, **kw):
+        calls.append((U, a))
+        return wh_reachable(g, a, U, **kw)
+
+    monkeypatch.setattr(apps, "wh_reachable", counting)
+    graph = build_delta(g, W_min)
+    assert graph.n_vertices() == reps
+    assert calls == [(R, a) for R in graph.payloads
+                     for a in apps._class_reps(g)]
 
 
 def test_orbit_decide_basic(f2):
@@ -222,6 +332,17 @@ def test_stabilizer_presentation_f2(f2):
         frontier = nxt
     for t in targets:
         assert t.key() in seen
+    # H1 of Stab[a] has order 8 (the image in GL(2,Z) is the infinite
+    # dihedral group [[1,x],[0,+-1]]), and the presented group maps onto it
+    assert abelianization([nm for nm, _ in pres.generators],
+                          pres.relators) == (0, [2, 2, 2])
+
+
+def test_stabilizer_presentation_f2_commutator_abelianizes_to_z12(f2):
+    # the stabilizer of [a, b] is SAut(F2), and H1(SAut(F2)) = H1(SL(2,Z))
+    pres = stabilizer_presentation(f2, class_tuple(f2, [W("a b a^-1 b^-1")]))
+    assert abelianization([nm for nm, _ in pres.generators],
+                          pres.relators) == (0, [12])
 
 
 def test_build_Z_cells_close_up(f2):

@@ -168,6 +168,19 @@ def test_schreier_budget_counts_component_vertices(files, capsys, command):
                    "budget 2\n")
 
 
+@pytest.mark.parametrize("command", [["orbit", "--tuple2", "b"],
+                                     ["stab-gens"]])
+def test_orbit_graph_budget_counts_tuples(files, capsys, command):
+    # the orbit graph of F2 [a] is one representative and its four images
+    argv = command + ["--graph", files["f2"], "--tuple", "a", "--json",
+                      "--max-vertices"]
+    code, _, err = run(argv + ["4"], capsys)
+    assert code == 0 and err == ""
+    code, out, err = run(argv + ["3"], capsys)
+    assert code == 2 and out == ""
+    assert err == "budget exhausted: build_delta tuples 4 > budget 3\n"
+
+
 def test_stab_gens_cli(files, capsys):
     code, out, _ = run(["stab-gens", "--graph", files["f2"],
                         "--tuple", "a", "--json"], capsys)
