@@ -22,7 +22,7 @@ from .aut import (GenWhitehead, MultTag, PermTag, conjugation_by,
                   identity_automorphism, is_long_range, mult_tag,
                   permutation_automorphisms, support, theta, za_basis)
 from .core import ClassTuple, canonical_class, enumerate_tuples, reduce_word
-from .errors import BudgetError
+from .errors import BudgetError, InputError
 from .linalg import LabeledGraph, Presentation, evaluate_word, g1_orbit_decide
 from .peak import (classic_factor_list, fixes_class_pointwise,
                    long_range_peak_reduce)
@@ -111,7 +111,8 @@ def wh_reachable(g, a, U: ClassTuple, shorter=False, zero_columns=frozenset(),
     for assign in _exponent_assignments(mults, n, total, exact=not shorter):
         count += 1
         if count > budget:
-            raise BudgetError("exponent sweep budget exceeded")
+            raise BudgetError("wh_reachable candidates %d > budget %d"
+                              % (count, budget))
         newexps = [assign[col_group[j]] for j in range(len(cols))]
         if not shorter and newexps == list(tops):
             continue
@@ -368,17 +369,23 @@ class StabComplex:
     """1-skeleton plus 2-cells; each cell is a closed edge path (steps of
     (edge index, forward)) with its kind tag."""
 
-    def __init__(self, graph, cells, loop_edges, contexts):
+    def __init__(self, graph, cells):
         self.graph = graph
         self.cells = cells
-        self.loop_edges = loop_edges
-        self.contexts = contexts
 
 
-def build_Z(g, W_min: ClassTuple, max_vertices=60, max_schreier=None,
-            loop_budget=40_000):
+def build_Z(g, W_min: ClassTuple, max_vertices=60, max_schreier=None):
     """The presentation complex: the orbit component with classic-move and
     support-restricted edges, stabilizer loops, and the seven cell families.
+
+    The C3 cells are every loop of 2 to 5 classic edges (classic Whitehead
+    moves and permutations) that composes to the identity, each once up to
+    rotation and reversal, leaving out loops in which a step is followed,
+    cyclically, by its own inverse edge, except the two-edge loops
+    ``e, inverse(e)``.  They are enumerated completely, with no budget: a
+    loop is a path of at most 3 classic edges and a path of at most 2 from
+    the same vertex with the same automorphism, so the cost is the classic
+    out-degree cubed per vertex.
 
     Small instances only; the per-vertex, per-class, per-support-subset
     stabilizer loops are an exponential wall by construction.
@@ -410,7 +417,10 @@ def build_Z(g, W_min: ClassTuple, max_vertices=60, max_schreier=None,
             target = wh.aut.apply_to_tuple(W1)
             if target in graph.vindex:
                 add_edge(src, graph.vindex[target], wh)
-    # support-restricted witness edges
+    # support-restricted witness edges, stabilizer loops and, for the empty
+    # support, the contexts that rewrite stabilizer elements as loop words
+    contexts = {}
+    cells = []
     for W1 in vertices:
         src = graph.vindex[W1]
         for a in _class_reps(g):
@@ -422,35 +432,21 @@ def build_Z(g, W_min: ClassTuple, max_vertices=60, max_schreier=None,
                                                max_vertices=max_schreier):
                     if target in graph.vindex:
                         add_edge(src, graph.vindex[target], wh)
-    # stabilizer loops and their presentation contexts
-    loop_edges = {}
-    contexts = {}
-    cells = []
-    for W1 in vertices:
-        src = graph.vindex[W1]
-        for a in _class_reps(g):
-            letters = [(v, s) for v in g.vertices
-                       if v not in g.star(a) for s in (1, -1)]
-            for S in _powerset(letters):
                 pres, ctx = wh_stabilizer_presentation(
                     g, a, S, W1, max_vertices=max_schreier)
-                contexts[(src, a, S)] = (pres, ctx)
-                name_to_edge = {}
-                for name, wh in pres.generators:
-                    idx = add_edge(src, src, wh)
-                    name_to_edge[name] = idx
-                loop_edges[(src, a, S)] = name_to_edge
+                name_to_edge = {name: add_edge(src, src, wh)
+                                for name, wh in pres.generators}
+                if not S:
+                    contexts[(src, a)] = (ctx, name_to_edge)
                 # C1 cells: the relators of each stabilizer presentation
                 for rel in pres.relators:
                     steps = [(name_to_edge[nm], sgn > 0) for nm, sgn in rel]
                     if steps:
                         cells.append(("C1", src, steps))
 
-    def loop_word_for(src, a, S, wh):
-        pres, ctx = contexts[(src, a, S)]
-        word = ctx.rewrite(wh)
-        table = loop_edges[(src, a, S)]
-        return [(table[nm], sgn > 0) for nm, sgn in word]
+    def loop_word_for(src, a, wh):
+        ctx, table = contexts[(src, a)]
+        return [(table[nm], sgn > 0) for nm, sgn in ctx.rewrite(wh)]
 
     def edge_of(src, aut):
         return edge_by_key.get((src, aut.key()))
@@ -477,29 +473,50 @@ def build_Z(g, W_min: ClassTuple, max_vertices=60, max_schreier=None,
         if ok and cur == dst:
             cells.append(("C2", src, steps + [(idx, False)]))
 
-    # C3: short classic loops composing to the identity
-    for src in range(graph.n_vertices()):
-        stack = [(src, [], identity_automorphism(g))]
-        visited = 0
+    # C3: short classic loops composing to the identity.  A loop of at most
+    # 5 edges is a path p of at most 3 and a path q of at most 2 from the
+    # same vertex with the same automorphism, hence the same end, closed by
+    # walking q back along inverse edges; only the paths of at most 2 edges
+    # are stored
+    classic_out = [[e for e in graph.out[v].values()
+                    if graph.edges[e][3].aut.key() in classic_keys]
+                   for v in range(graph.n_vertices())]
+    inverse = {}
+    for out in classic_out:
+        for e in out:
+            _, d, _, wh = graph.edges[e]
+            inv = edge_of(d, wh.aut.invert())
+            if inv is None:
+                raise AssertionError("classic edge without an inverse edge")
+            inverse[e] = inv
+
+    def classic_paths(src, depth):
+        """(path, automorphism) for the classic paths of at most depth
+        edges from src, depth first."""
+        stack = [((), src, identity_automorphism(g))]
         while stack:
-            v, steps, comp = stack.pop()
-            if len(steps) >= 5:
-                continue
-            for eidx in graph.out[v].values():
-                _, d, _, wh = graph.edges[eidx]
-                if wh.aut.key() not in classic_keys:
+            path, v, comp = stack.pop()
+            yield path, comp
+            if len(path) < depth:
+                for e in classic_out[v]:
+                    _, d, _, wh = graph.edges[e]
+                    stack.append((path + (e,), d, wh.aut.compose(comp)))
+
+    short_loops = set()
+    for src in range(graph.n_vertices()):
+        halves = {}
+        for q, comp in classic_paths(src, 2):
+            halves.setdefault(comp.key(), []).append(q)
+        for p, comp in classic_paths(src, 3):
+            for q in halves.get(comp.key(), ()):
+                if p == q:
                     continue
-                visited += 1
-                if visited > loop_budget:
-                    break
-                ncomp = wh.aut.compose(comp)
-                nsteps = steps + [(eidx, True)]
-                if d == src and ncomp.is_identity() and len(nsteps) >= 2:
-                    cells.append(("C3", src, nsteps))
-                elif len(nsteps) < 5:
-                    stack.append((d, nsteps, ncomp))
-            if visited > loop_budget:
-                break
+                loop = p + tuple(inverse[e] for e in reversed(q))
+                if _is_reduced_loop(loop, inverse):
+                    short_loops.add(_loop_key(loop, inverse))
+    for loop in sorted(short_loops):
+        cells.append(("C3", graph.edges[loop[0]][0],
+                      [(e, True) for e in loop]))
 
     # C4: conjugating inner classic loops across edges; the conjugate of a
     # letter conjugation is conjugation by the letter's image
@@ -552,8 +569,8 @@ def build_Z(g, W_min: ClassTuple, max_vertices=60, max_schreier=None,
                         graph.payloads[s1]:
                     continue
                 try:
-                    word = loop_word_for(s1, _rep_of(g, a), frozenset(), gw)
-                except Exception:
+                    word = loop_word_for(s1, _rep_of(g, a), gw)
+                except InputError:
                     continue
                 steps = [(e1, True), (e2, True), (e3, True)]
                 steps += [(e, not fwd) for e, fwd in reversed(word)]
@@ -587,9 +604,8 @@ def build_Z(g, W_min: ClassTuple, max_vertices=60, max_schreier=None,
                         graph.payloads[dp]:
                     continue
                 try:
-                    word = loop_word_for(dp, _rep_of(g, bimg), frozenset(),
-                                         gw)
-                except Exception:
+                    word = loop_word_for(dp, _rep_of(g, bimg), gw)
+                except InputError:
                     continue
                 steps = [(ep, False), (eb, True), (ep, True), (eg, False)]
                 steps += word
@@ -637,16 +653,32 @@ def build_Z(g, W_min: ClassTuple, max_vertices=60, max_schreier=None,
                     gw2.aut.apply_to_tuple(abW1) != abW1:
                 continue
             try:
-                word1 = loop_word_for(tgt, _rep_of(g, a), frozenset(), gw1)
-                word2 = loop_word_for(tgt, _rep_of(g, b), frozenset(), gw2)
-            except Exception:
+                word1 = loop_word_for(tgt, _rep_of(g, a), gw1)
+                word2 = loop_word_for(tgt, _rep_of(g, b), gw2)
+            except InputError:
                 continue
             steps = [(eb, True), (eg, True)]
             steps += word1 + word2
             steps += [(ed, False), (ea, False)]
             cells.append(("C7", W1, steps))
 
-    return StabComplex(graph, cells, loop_edges, contexts)
+    return StabComplex(graph, cells)
+
+
+def _is_reduced_loop(loop, inverse):
+    """Whether no step of a closed edge path is followed, cyclically, by its
+    own inverse edge; the two-edge loop ``e, inverse(e)`` counts as reduced."""
+    n = len(loop)
+    return n == 2 or all(inverse[loop[i]] != loop[(i + 1) % n]
+                         for i in range(n))
+
+
+def _loop_key(loop, inverse):
+    """The least rotation of a closed edge path or of its reversal, the
+    inverse edges in reverse order."""
+    back = tuple(inverse[e] for e in reversed(loop))
+    return min(path[i:] + path[:i] for path in (loop, back)
+               for i in range(len(loop)))
 
 
 def _lands_in(edge, dst, cls):

@@ -589,6 +589,65 @@ def all_tuple_loop_elements(g, edges):
             if idx not in tree_edges]
 
 
+# -- short identity loops of the presentation complex -------------------------
+# On a free abelian group Z^n (a complete defining graph) an automorphism is
+# its integer matrix on H1, so a closed walk composes to the identity exactly
+# when the product of its edge matrices is the identity matrix.
+
+def _integer_matrix(aut):
+    vs = aut.graph.vertices
+    return tuple(tuple(sum(s for x, s in aut.images[vj] if x == vi)
+                       for vj in vs) for vi in vs)
+
+
+def _mat_mul(A, B):
+    return tuple(tuple(sum(a * b for a, b in zip(row, col))
+                       for col in zip(*B)) for row in A)
+
+
+def short_identity_loops(graph, auts):
+    """(loops, canon) for the edges of a graph over Z^n whose automorphisms
+    are among auts.  ``canon`` maps a closed walk to the least rotation of
+    it or of its reversal (the inverse edges in reverse order); ``loops``
+    holds ``canon`` of every closed walk of 2 to 5 such edges whose matrices
+    multiply to the identity and in which no step is followed, cyclically,
+    by its inverse edge, unless the walk has two edges."""
+    wanted = {_integer_matrix(a) for a in auts}
+    matrix = {idx: _integer_matrix(e[3].aut)
+              for idx, e in enumerate(graph.edges)}
+    out = {}
+    for idx, (s, _, _, _) in enumerate(graph.edges):
+        if matrix[idx] in wanted:
+            out.setdefault(s, []).append(idx)
+    n = len(next(iter(wanted)))
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    inverse = {e: f for s, es in out.items() for e in es
+               for f in out.get(graph.edges[e][1], ())
+               if graph.edges[f][1] == s
+               and _mat_mul(matrix[f], matrix[e]) == ident}
+
+    def canon(walk):
+        back = tuple(inverse[e] for e in reversed(walk))
+        return min(w[i:] + w[:i] for w in (tuple(walk), back)
+                   for i in range(len(walk)))
+
+    loops = set()
+    for start in out:
+        stack = [((), start, ident)]
+        while stack:
+            walk, v, m = stack.pop()
+            if len(walk) >= 2 and v == start and m == ident and (
+                    len(walk) == 2 or all(
+                        inverse[walk[i]] != walk[(i + 1) % len(walk)]
+                        for i in range(len(walk)))):
+                loops.add(canon(walk))
+            if len(walk) < 5:
+                for e in out.get(v, ()):
+                    stack.append((walk + (e,), graph.edges[e][1],
+                                  _mat_mul(matrix[e], m)))
+    return loops, canon
+
+
 # -- matrix groups over Z/p ---------------------------------------------------
 # Automorphisms act on H1 = Z^n; their images mod p generate a subgroup of
 # GL(n, Z/p), held as a base and strong generating set built by the

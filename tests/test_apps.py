@@ -6,14 +6,17 @@ from raagaut import apps
 from raagaut.apps import (aut_orbit_decide, build_delta, build_Z,
                           minimize_tuple, stabilizer_generators,
                           stabilizer_presentation, wh_reachable)
-from raagaut.aut import (Automorphism, identity_automorphism,
-                         laurence_generators)
+from raagaut.aut import (Automorphism, enumerate_classic_whitehead,
+                         identity_automorphism, laurence_generators,
+                         permutation_automorphisms)
 from raagaut.core import DefiningGraph, class_tuple, parse_word
+from raagaut.errors import BudgetError
 from raagaut.linalg import evaluate_word
 
 from .oracles import (MatrixGroupChain, abelian_image, abelianization,
                       all_tuple_loop_elements, all_tuple_orbit_graph,
-                      oracle_equivalent, oracle_minimize)
+                      oracle_equivalent, oracle_minimize,
+                      short_identity_loops)
 
 W = parse_word
 
@@ -72,6 +75,12 @@ def test_wh_reachable_witnesses(split):
     for target, wh in wh_reachable(split, "a", U):
         assert wh.aut.apply_to_tuple(U) == target
         assert target.length == U.length
+
+
+def test_wh_reachable_budget_names_counter(f2):
+    with pytest.raises(BudgetError,
+                       match=r"^wh_reachable candidates 2 > budget 1$"):
+        list(wh_reachable(f2, "a", class_tuple(f2, [W("a b")]), budget=1))
 
 
 def test_build_delta_edges_validated(f2):
@@ -338,11 +347,16 @@ def test_stabilizer_presentation_f2(f2):
                           pres.relators) == (0, [2, 2, 2])
 
 
-def test_stabilizer_presentation_f2_commutator_abelianizes_to_z12(f2):
+@pytest.mark.parametrize("words,h1", [
     # the stabilizer of [a, b] is SAut(F2), and H1(SAut(F2)) = H1(SL(2,Z))
-    pres = stabilizer_presentation(f2, class_tuple(f2, [W("a b a^-1 b^-1")]))
+    (["a b a^-1 b^-1"], (0, [12])),
+    # the stabilizer of ([a], [b]) is Inn(F2), free of rank 2
+    (["a", "b"], (2, [])),
+], ids=["commutator", "a;b"])
+def test_stabilizer_presentation_f2_abelianizes(f2, words, h1):
+    pres = stabilizer_presentation(f2, class_tuple(f2, [W(w) for w in words]))
     assert abelianization([nm for nm, _ in pres.generators],
-                          pres.relators) == (0, [12])
+                          pres.relators) == h1
 
 
 def test_build_Z_cells_close_up(f2):
@@ -353,6 +367,21 @@ def test_build_Z_cells_close_up(f2):
     kinds = {kind for kind, _, _ in Z.cells}
     assert "C1" in kinds
     assert "C3" in kinds
+
+
+def test_build_Z_short_loops_match_brute_force(k2):
+    Z = build_Z(k2, class_tuple(k2, [W("a")]))
+    classic = [w.aut for w in enumerate_classic_whitehead(k2)
+               + permutation_automorphisms(k2) if not w.aut.is_identity()]
+    loops, canon = short_identity_loops(Z.graph, classic)
+    assert len(loops) == 682
+    c3 = [tuple(e for e, _ in steps) for kind, _, steps in Z.cells
+          if kind == "C3"]
+    assert all(fwd for kind, _, steps in Z.cells if kind == "C3"
+               for _, fwd in steps)
+    assert {canon(loop) for loop in c3} == loops
+    # no two cells are rotations or reversals of each other
+    assert len({canon(loop) for loop in c3}) == len(c3)
 
 
 def laurence_bfs_reachable(g, U, max_len, depth=4):

@@ -18,6 +18,25 @@ def test_no_assert_statements():
     assert not found, "assert statements in the package: %s" % found
 
 
+def _catches_everything(handler):
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) \
+        else [handler.type]
+    return any(t is None or isinstance(t, ast.Name)
+               and t.id in ("Exception", "BaseException") for t in types)
+
+
+def test_no_catch_all_handlers():
+    """A failed internal check surfaces; no handler swallows every error."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += ["%s:%d" % (path.name, node.lineno)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ExceptHandler)
+                  and _catches_everything(node)]
+    assert not found, "catch-all except clauses in the package: %s" % found
+
+
 def _imports(path):
     """(module-level imported names with their lines, names used anywhere,
     lines of imports not at module level)."""
