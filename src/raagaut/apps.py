@@ -17,18 +17,19 @@ loops include the symmetries that fix each representative.
 
 from __future__ import annotations
 
-from .aut import (GenWhitehead, MultTag, PermTag, conjugation_by,
-                  conjugation_letter_factors, enumerate_classic_whitehead,
-                  identity_automorphism, is_long_range, mult_tag,
-                  permutation_automorphisms, support, theta, za_basis)
+from .aut import (Automorphism, GenWhitehead, MultTag, PermTag,
+                  conjugation_by, conjugation_letter_factors,
+                  enumerate_classic_whitehead, identity_automorphism,
+                  is_long_range, mult_tag, permutation_automorphisms, support,
+                  za_basis)
 from .core import ClassTuple, canonical_class, enumerate_tuples, reduce_word
 from .errors import BudgetError, InputError
-from .linalg import LabeledGraph, Presentation, evaluate_word, g1_orbit_decide
+from .linalg import LabeledGraph, Presentation, g1_orbit_decide
 from .peak import (classic_factor_list, fixes_class_pointwise,
                    long_range_peak_reduce)
 from .syllables import Decomposition, decompose, nu_matrix
-from .whorbit import (wh_orbit_decide, wh_stabilizer_presentation,
-                      zero_columns_from_support)
+from .whorbit import (theta_of_block, wh_orbit_decide,
+                      wh_stabilizer_presentation, zero_columns_from_support)
 
 DELTA_VERTEX_BUDGET = 2000
 SWEEP_BUDGET = 200_000
@@ -140,8 +141,7 @@ def wh_reachable(g, a, U: ClassTuple, shorter=False, zero_columns=frozenset(),
                                max_vertices=max_vertices)
         if cert.witness is None:
             continue
-        full = cert.witness.full()
-        wh = theta(g, a, tuple(tuple(int(x) for x in row) for row in full))
+        wh = theta_of_block(g, a, cert.witness)
         if wh.aut.apply_to_tuple(U) != target:
             raise AssertionError("sweep witness does not map to its target")
         seen_targets.add(target)
@@ -292,16 +292,6 @@ def _wh_letter(wh, fwd):
     return _aut_letter(wh.aut, fwd)
 
 
-def _compose(x, y):
-    return x.compose(y)
-
-
-def _tree_auts(g, graph, parent, letter):
-    """The automorphism of the tree path base -> v, for every vertex."""
-    return graph.tree_elements(parent, letter, _compose,
-                               identity_automorphism(g))
-
-
 def aut_orbit_decide(g, U: ClassTuple, V: ClassTuple,
                      max_vertices=DELTA_VERTEX_BUDGET, max_schreier=None):
     """An automorphism carrying U to V, or None: minimize both sides, then
@@ -319,7 +309,8 @@ def aut_orbit_decide(g, U: ClassTuple, V: ClassTuple,
     rep, q = graph.orbit[V_min]
     parent = graph.bfs_tree(graph.vindex[U_min])
     alpha = graph.path_element(graph.tree_path(parent, rep), _aut_letter,
-                               _compose, identity_automorphism(g))
+                               Automorphism.compose,
+                               identity_automorphism(g))
     result = mv.invert().compose(q).compose(alpha).compose(mu)
     if result.apply_to_tuple(U) != V:
         raise AssertionError("orbit witness does not map U to V")
@@ -334,17 +325,13 @@ def stabilizer_generators(g, W: ClassTuple,
     symmetries fixing each representative, conjugated back."""
     W_min, mu = minimize_tuple(g, W, max_vertices=max_schreier)
     graph = _delta_cached(g, W_min, True, max_vertices, max_schreier)
-    base = graph.vindex[W_min]
-    parent = graph.bfs_tree(base)
-    tree_edges = {entry[0] for entry in parent.values() if entry is not None}
-    tree = _tree_auts(g, graph, parent, _aut_letter)
+    _, loops = graph.schreier_generators(
+        graph.vindex[W_min], _aut_letter, Automorphism.compose,
+        Automorphism.invert, identity_automorphism(g))
     gens = []
     seen = set()
     mu_inv = mu.invert()
-    for idx, (s, d, name, aut) in enumerate(graph.edges):
-        if idx in tree_edges:
-            continue
-        elem = tree[d].invert().compose(aut).compose(tree[s])
+    for _, elem in loops:
         if elem.is_identity():
             continue
         out = mu_inv.compose(elem).compose(mu)
@@ -691,7 +678,6 @@ def _rep_of(g, a):
     for v in _class_reps(g):
         if v in g.adjdom_class(a):
             return v
-    return a
 
 
 def _verify_cells(g, Z: StabComplex):
@@ -723,44 +709,24 @@ def stabilizer_presentation(g, W: ClassTuple, max_vertices=60,
     Z = build_Z(g, W_min, max_vertices=max_vertices,
                 max_schreier=max_schreier)
     _verify_cells(g, Z)
-    graph = Z.graph
-    base = graph.vindex[W_min]
-    parent = graph.bfs_tree(base)
-    if len(parent) != graph.n_vertices():
-        raise AssertionError("presentation complex is not connected")
-    tree_edges = {entry[0] for entry in parent.values() if entry is not None}
-    tree = _tree_auts(g, graph, parent, _wh_letter)
-    gen_of_edge = {}
-    gens = []
+    ident = identity_automorphism(g)
+    _, loops = Z.graph.schreier_generators(
+        Z.graph.vindex[W_min], _wh_letter, Automorphism.compose,
+        Automorphism.invert, ident)
+    gen_of_edge = {idx: "z%d" % i for i, (idx, _) in enumerate(loops, 1)}
     mu_inv = mu.invert()
-    for idx, (s, d, name, wh) in enumerate(graph.edges):
-        if idx in tree_edges:
-            continue
-        elem = tree[d].invert().compose(wh.aut).compose(tree[s])
-        gname = "z%d" % (len(gens) + 1)
-        gen_of_edge[idx] = gname
-        gens.append((gname, mu_inv.compose(elem).compose(mu)))
-    relators = []
-    for kind, cbase, steps in Z.cells:
-        # close the relator at the base vertex through the tree; the word
-        # spells the composed element, so it reads the path backwards
-        prefix = graph.tree_path(parent, cbase)
-        path = prefix + steps + [(e, not fwd) for e, fwd in
-                                 reversed(prefix)]
-        word = []
-        for eidx, fwd in reversed(path):
-            if eidx in gen_of_edge:
-                word.append((gen_of_edge[eidx], 1 if fwd else -1))
-        relators.append(tuple(word))
+    gens = [(gen_of_edge[idx], mu_inv.compose(elem).compose(mu))
+            for idx, elem in loops]
+    # a cell closes at the base through the tree, whose edges carry no
+    # generator; the word spells the composed element, so it reads the
+    # cell's steps backwards
+    relators = [tuple((gen_of_edge[eidx], 1 if fwd else -1)
+                      for eidx, fwd in reversed(steps)
+                      if eidx in gen_of_edge)
+                for _, _, steps in Z.cells]
     pres = Presentation(gens, relators)
-    payloads = {nm: aut for nm, aut in pres.generators}
     for nm, aut in pres.generators:
         if aut.apply_to_tuple(W) != W:
             raise AssertionError("presented generator moves W")
-    ident = identity_automorphism(g)
-    for rel in pres.relators:
-        val = evaluate_word(rel, payloads, lambda x, y: x.compose(y),
-                            lambda x: x.invert(), ident)
-        if not val.is_identity():
-            raise AssertionError("presented relator is not the identity")
+    pres.check_relators(Automorphism.compose, Automorphism.invert, ident)
     return pres

@@ -277,6 +277,14 @@ class Presentation:
         return "Presentation(%d generators, %d relators)" % (
             len(self.generators), len(self.relators))
 
+    def check_relators(self, mul, inv, identity):
+        """Raise AssertionError unless every relator, evaluated on the
+        generators' payloads, is the identity."""
+        payloads = dict(self.generators)
+        for rel in self.relators:
+            if evaluate_word(rel, payloads, mul, inv, identity) != identity:
+                raise AssertionError("relator is not the identity")
+
 
 def invert_pword(word):
     return tuple((name, -s) for name, s in reversed(word))
@@ -639,6 +647,22 @@ class LabeledGraph:
                 elems[v] = mul(letter(payload, fwd), elems[s if fwd else d])
         return elems
 
+    def schreier_generators(self, base, letter, mul, inv, identity):
+        """Schreier's lemma: the spanning tree ``bfs_tree(base)`` and, for
+        each non-tree edge s -> d in edge order, (edge index, the loop
+        tree(d)^-1 . edge . tree(s) at the base).  These loops generate the
+        fundamental group; every caller builds a connected graph, so a tree
+        that misses a vertex is an internal fault."""
+        parent = self.bfs_tree(base)
+        if len(parent) != self.n_vertices():
+            raise AssertionError("graph is not connected")
+        tree = self.tree_elements(parent, letter, mul, identity)
+        tree_edges = {step[0] for step in parent.values() if step is not None}
+        return parent, [
+            (idx, mul(mul(inv(tree[d]), letter(payload, True)), tree[s]))
+            for idx, (s, d, _, payload) in enumerate(self.edges)
+            if idx not in tree_edges]
+
     def trace(self, start, word, gen_of_edge):
         """Follow a word from ``start`` and rewrite it over the generators
         that ``gen_of_edge`` names (edge index -> name); other edges are
@@ -727,7 +751,7 @@ def gd_stabilizer(rows, n, k, d):
     rows = [tuple(map(Fraction, r)) for r in rows]
     if not is_normal_form(rows, n, k):
         raise InputError("matrix is not in normal form")
-    if target_lcd(rows) not in (1,) and d % target_lcd(rows) != 0:
+    if d % target_lcd(rows) != 0:
         raise InputError("matrix entries are not multiples of 1/d")
     l = pivot_count(rows, n, k)
     m = n - l
@@ -811,10 +835,8 @@ def gd_stabilizer(rows, n, k, d):
     else:
         pres = p_top
 
-    for rel in pres.relators:
-        val = evaluate_matrix_word(rel, payloads)
-        if val != BlockMatrix.identity(n, k):
-            raise AssertionError("stabilizer relator does not hold")
+    pres.check_relators(BlockMatrix.mul, BlockMatrix.inv,
+                        BlockMatrix.identity(n, k))
     return struct, pres
 
 
@@ -1030,19 +1052,10 @@ def cover_presentation(pres: Presentation, graph: LabeledGraph, base,
     base presentation).  Returns the presentation and the generator name of
     each non-tree edge index.
     """
-    parent = graph.bfs_tree(base)
-    if len(parent) != graph.n_vertices():
-        raise InputError("Schreier graph is not connected")
-    tree_edges = {entry[0] for entry in parent.values() if entry is not None}
-    tree = graph.tree_elements(parent, _letter(inv), mul, identity)
-    gen_of_edge = {}
-    gens = []
-    for idx, (s, d, name, payload) in enumerate(graph.edges):
-        if idx in tree_edges:
-            continue
-        gname = "x%d" % (len(gens) + 1)
-        gens.append((gname, mul(inv(tree[d]), mul(payload, tree[s]))))
-        gen_of_edge[idx] = gname
+    _, loops = graph.schreier_generators(base, _letter(inv), mul, inv,
+                                         identity)
+    gen_of_edge = {idx: "x%d" % i for i, (idx, _) in enumerate(loops, 1)}
+    gens = [(gen_of_edge[idx], elem) for idx, elem in loops]
 
     relators = []
     for v in range(graph.n_vertices()):
@@ -1107,23 +1120,18 @@ def presentation_from_finite_index(pH: Presentation, extra, graph, base,
     the subgroup's, plus one per fundamental-group generator of the graph,
     equating it with its rewriting over the subgroup generators (computed by
     ``rewriter`` from the composed group element)."""
-    parent = graph.bfs_tree(base)
-    if len(parent) != graph.n_vertices():
-        raise InputError("Schreier graph is not connected")
-    tree_edges = {entry[0] for entry in parent.values() if entry is not None}
-    tree = graph.tree_elements(parent, _letter(inv), mul, identity)
+    parent, loops = graph.schreier_generators(base, _letter(inv), mul, inv,
+                                              identity)
     gens = list(pH.generators) + list(extra)
     rels = list(pH.relators)
-    for idx, (s, d, name, payload) in enumerate(graph.edges):
-        if idx in tree_edges:
-            continue
+    for idx, elem in loops:
+        s, d, name, _ = graph.edges[idx]
         # the fundamental-group generator of the non-tree edge, as a word:
         # (tree path to d)^-1 * edge * (tree path to s)
         word = invert_pword(graph.path_word(parent, d))
         word += ((name, 1),)
         word += graph.path_word(parent, s)
-        w = rewriter(mul(inv(tree[d]), mul(payload, tree[s])))
-        rel = word + invert_pword(w)
+        rel = word + invert_pword(rewriter(elem))
         if rel and not _trivially_cancels(rel):
             rels.append(rel)
     return Presentation(gens, rels)

@@ -61,12 +61,6 @@ class Factorization:
         self.base = base
         self.profile = profile_of(self.factors, base)
 
-    def compose(self) -> Automorphism:
-        if not self.factors:
-            raise InputError("empty factorization has no graph to build "
-                             "an identity on")
-        return compose_factors(self.factors[0].graph, self.factors)
-
     def __len__(self):
         return len(self.factors)
 
@@ -977,8 +971,7 @@ def peak_reduce(g, factors, W: ClassTuple, budget=REWRITE_BUDGET
     composes to the same automorphism and its length profile strictly
     decreases, stays constant, then strictly increases."""
     factors = list(factors)
-    original = compose_factors(g, factors) if factors else \
-        identity_automorphism(g)
+    original = compose_factors(g, factors)
 
     def lower(V, alpha, beta):
         return lower_peak(g, Peak(V, alpha, beta))

@@ -14,7 +14,7 @@ from .aut import (GenWhitehead, apply_gw, compose_gw, eta,
                   identity_automorphism, mult_tag, support, theta, za_basis)
 from .core import ClassTuple, InputError, parse_word
 from .exactmat import mat_mul
-from .linalg import (BlockMatrix, LabeledGraph, Presentation, evaluate_word,
+from .linalg import (BlockMatrix, LabeledGraph, Presentation,
                      g1_orbit_decide, g1_stabilizer_presentation,
                      presentation_from_finite_index)
 from .syllables import (Decomposition, decompose, matching_permutations,
@@ -105,10 +105,7 @@ def wh_orbit_decide(g, a, S, U: ClassTuple, V: ClassTuple,
                                max_vertices=max_vertices)
         if cert.witness is None:
             continue
-        D = cert.witness
-        full = D.full()
-        mat = tuple(tuple(int(x) for x in row) for row in full)
-        wh = theta(g, a, mat)
+        wh = theta_of_block(g, a, cert.witness)
         if apply_gw(wh, U) != V:
             raise AssertionError("orbit witness does not map U to V")
         if S and support(wh) & S:
@@ -147,50 +144,45 @@ def wh_stabilizer_presentation(g, a, S, U: ClassTuple, max_vertices=None,
 
     pres_matrix, mctx = g1_stabilizer_presentation(nu1, n, k, zc,
                                                    max_vertices=max_vertices)
-    s2 = []
-    for name, payload in pres_matrix.generators:
-        full = payload.full()
-        mat = tuple(tuple(int(x) for x in row) for row in full)
-        s2.append((name, theta(g, a, mat)))
+    s2 = [(name, theta_of_block(g, a, payload))
+          for name, payload in pres_matrix.generators]
 
     vertices = [nu1]
-    transversal = {_mat_key(nu1): BlockMatrix.identity(n, k)}
+    transversal = {nu1: BlockMatrix.identity(n, k)}
     s1 = []
     for target in targets:
-        if _mat_key(target) == _mat_key(nu1):
+        if target == nu1:
             continue
         cert = g1_orbit_decide(nu1, target, n, k, zc,
                                max_vertices=max_vertices)
         if cert.witness is None:
             continue
         vertices.append(target)
-        transversal[_mat_key(target)] = cert.witness
-        s1.append(("t%d" % len(s1), _theta_of(g, a, cert.witness)))
+        transversal[target] = cert.witness
+        s1.append(("t%d" % len(s1), theta_of_block(g, a, cert.witness)))
 
     graph = LabeledGraph()
     for v in vertices:
-        graph.add_vertex(_mat_key(v), v)
+        graph.add_vertex(v)
     labelled = list(s1) + s2
     for name, wh in labelled:
         mat = _eta_at(g, a, wh)
         for v in vertices:
             img = mat_mul(mat, v)
-            key = _mat_key(img)
-            if key not in graph.vindex:
+            if img not in graph.vindex:
                 raise AssertionError("stabilizer label leaves the vertex set")
-            graph.add_edge(graph.vindex[_mat_key(v)], graph.vindex[key],
-                           name, wh)
+            graph.add_edge(graph.vindex[v], graph.vindex[img], name, wh)
 
-    base = graph.vindex[_mat_key(nu1)]
+    base = graph.vindex[nu1]
 
     def rewriter(elem: GenWhitehead):
         return mctx.rewrite(_block_of(g, a, elem, n, k))
 
+    ident = GenWhitehead(identity_automorphism(g), mult_tag(g, a),
+                         _skip_check=True)
     pres = presentation_from_finite_index(
         Presentation(s2, pres_matrix.relators), s1, graph, base, rewriter,
-        compose_gw, lambda x: x.invert(),
-        GenWhitehead(identity_automorphism(g), mult_tag(g, a),
-                     _skip_check=True))
+        compose_gw, GenWhitehead.invert, ident)
     ctx = WhStabCtx(g=g, a=a, mctx=mctx, n=n, k=k, transversal=transversal,
                     vertices=vertices)
     for name, wh in pres.generators:
@@ -199,13 +191,7 @@ def wh_stabilizer_presentation(g, a, S, U: ClassTuple, max_vertices=None,
         if S and support(wh) & S:
             raise AssertionError("stabilizer generator violates the support "
                                  "restriction")
-    payloads = {name: wh.aut for name, wh in pres.generators}
-    ident = identity_automorphism(g)
-    for rel in pres.relators:
-        val = evaluate_word(rel, payloads, lambda x, y: x.compose(y),
-                            lambda x: x.invert(), ident)
-        if not val.is_identity():
-            raise AssertionError("stabilizer relator is not the identity")
+    pres.check_relators(compose_gw, GenWhitehead.invert, ident)
     return pres, ctx
 
 
@@ -222,11 +208,9 @@ class WhStabCtx:
         matrix-stabilizer part."""
         g, a = self.g, self.a
         mat = _eta_at(g, a, wh)
-        img = mat_mul(mat, self.vertices[0])
-        key = _mat_key(img)
-        tnames = {_mat_key(v): "t%d" % i
-                  for i, v in enumerate(self.vertices[1:])}
-        if key == _mat_key(self.vertices[0]):
+        key = mat_mul(mat, self.vertices[0])
+        tnames = {v: "t%d" % i for i, v in enumerate(self.vertices[1:])}
+        if key == self.vertices[0]:
             head = ()
             rest = wh
         else:
@@ -234,17 +218,14 @@ class WhStabCtx:
                 raise InputError("element does not stabilize the tuple")
             t = self.transversal[key]
             head = ((tnames[key], 1),)
-            tinv = _theta_of(g, a, t).invert()
+            tinv = theta_of_block(g, a, t).invert()
             rest = compose_gw(tinv, wh)
         return head + self.mctx.rewrite(_block_of(g, a, rest, self.n,
                                                   self.k))
 
 
-def _mat_key(m):
-    return tuple(tuple(row) for row in m)
-
-
-def _theta_of(g, a, block):
+def theta_of_block(g, a, block):
+    """The Whitehead automorphism of an integral block matrix."""
     full = block.full()
     mat = tuple(tuple(int(v) for v in row) for row in full)
     return theta(g, a, mat)

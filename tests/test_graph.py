@@ -1,12 +1,14 @@
 """The graph layer: per-vertex edge maps, the spanning tree and its walks,
-and the coset tracer, checked against edge-scan references; and the
-Schreier component builder, checked against the graph on every residue."""
+Schreier's lemma and the coset tracer, checked against edge-scan references
+and plain folds; and the Schreier component builder, checked against the
+graph on every residue."""
 
 import random
 
 import pytest
 
 from raagaut.apps import build_delta, build_Z
+from raagaut.aut import Automorphism, identity_automorphism
 from raagaut.core import class_tuple, parse_word
 from raagaut.errors import InputError
 from raagaut.exactmat import lcm
@@ -146,6 +148,64 @@ def test_tree_elements_equal_plain_fold():
             assert end == (s if fwd else d)
             end = d if fwd else s
         assert end == v
+
+
+def matrix_ops(n, k):
+    """(letter, mul, inv, identity) for edges carrying block matrices."""
+    return (lambda p, fwd: p if fwd else p.inv(), BlockMatrix.mul,
+            BlockMatrix.inv, BlockMatrix.identity(n, k))
+
+
+def aut_ops(g, aut_of):
+    """The same for edges whose payload ``aut_of`` turns into an
+    automorphism."""
+    return (lambda p, fwd: aut_of(p) if fwd else aut_of(p).invert(),
+            Automorphism.compose, Automorphism.invert,
+            identity_automorphism(g))
+
+
+def schreier_case(name, f2, split):
+    """(graph, base, letter, mul, inv, identity) of a named test graph."""
+    if name == "example":
+        start = ((1,), (0,))
+        graph = example_schreier(start)
+        return (graph, graph.vindex[start]) + matrix_ops(2, 1)
+    if name == "seeded600":
+        gens, dd = seeded_generators(4, 2, 1, 25)
+        start = ((24,), (24,))
+        graph = schreier_g1_in_gd(gens, 2, 1, dd, start)
+        return (graph, graph.vindex[start]) + matrix_ops(2, 1)
+    if name == "delta":
+        graph = build_delta(split, class_tuple(split, [parse_word("a d")]),
+                            with_stabilizers=True)
+        return (graph, 0) + aut_ops(split, lambda aut: aut)
+    graph = build_Z(f2, class_tuple(f2, [parse_word("a")])).graph
+    return (graph, 0) + aut_ops(f2, lambda wh: wh.aut)
+
+
+@pytest.mark.parametrize("name", ["example", "seeded600", "delta", "Z"])
+def test_schreier_generators_equal_plain_fold(name, f2, split):
+    graph, base, letter, mul, inv, ident = schreier_case(name, f2, split)
+    parent, loops = graph.schreier_generators(base, letter, mul, inv, ident)
+    assert parent == graph.bfs_tree(base)
+    assert len(loops) == len(graph.edges) - graph.n_vertices() + 1
+    assert [idx for idx, _ in loops] == sorted(idx for idx, _ in loops)
+    for idx, elem in loops:
+        s, d, _, _ = graph.edges[idx]
+        back = [(e, not fwd) for e, fwd in reversed(graph.tree_path(parent,
+                                                                    d))]
+        loop = graph.tree_path(parent, s) + [(idx, True)] + back
+        assert elem == graph.path_element(loop, letter, mul, ident)
+
+
+def test_schreier_generators_reject_disconnected_graph():
+    graph = LabeledGraph()
+    for key in "uv":
+        graph.add_vertex(key)
+    graph.add_edge(0, 0, "x", 1)
+    with pytest.raises(AssertionError, match="not connected"):
+        graph.schreier_generators(0, lambda p, fwd: p if fwd else -p,
+                                  lambda x, y: x + y, lambda x: -x, 0)
 
 
 def test_path_word_traces_base_to_vertex():

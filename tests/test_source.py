@@ -107,3 +107,24 @@ def test_public_definitions_are_named_elsewhere():
                         and not node.name.startswith("_")]
     unnamed = ["%s:%d %s" % item for item in defined if item[2] not in used]
     assert not unnamed, "public definitions named nowhere: %s" % unnamed
+
+
+def test_one_schreier_lemma_and_one_relator_check():
+    """The non-tree edge set of a spanning tree is built in one place, the
+    Schreier's-lemma method of the graph layer, and relators are evaluated
+    only in ``linalg`` (``Presentation.check_relators``)."""
+    tree_edges, evaluators = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == "tree_edges" \
+                    and isinstance(node.ctx, ast.Store):
+                tree_edges.append("%s:%d" % (path.name, node.lineno))
+            if isinstance(node, ast.Call) and path.name != "linalg.py" \
+                    and getattr(node.func, "id", getattr(
+                        node.func, "attr", None)) in (
+                            "evaluate_word", "evaluate_matrix_word"):
+                evaluators.append("%s:%d" % (path.name, node.lineno))
+    assert len(tree_edges) == 1 and tree_edges[0].startswith("linalg.py:"), \
+        "non-tree edge sets built at %s" % tree_edges
+    assert not evaluators, "words evaluated outside linalg: %s" % evaluators
