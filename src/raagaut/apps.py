@@ -22,14 +22,14 @@ from .aut import (Automorphism, GenWhitehead, MultTag, PermTag,
                   enumerate_classic_whitehead, identity_automorphism,
                   is_long_range, mult_tag, permutation_automorphisms, support,
                   za_basis)
-from .core import ClassTuple, canonical_class, enumerate_tuples, reduce_word
+from .core import ClassTuple, canonical_class, reduce_word
 from .errors import BudgetError, InputError
 from .linalg import LabeledGraph, Presentation, g1_orbit_decide
 from .peak import (classic_factor_list, fixes_class_pointwise,
                    long_range_peak_reduce)
 from .syllables import Decomposition, decompose, nu_matrix
-from .whorbit import (theta_of_block, wh_orbit_decide,
-                      wh_stabilizer_presentation, zero_columns_from_support)
+from .whorbit import (theta_of_block, wh_stabilizer_presentation,
+                      zero_columns_from_support)
 
 DELTA_VERTEX_BUDGET = 2000
 SWEEP_BUDGET = 200_000
@@ -148,13 +148,12 @@ def wh_reachable(g, a, U: ClassTuple, shorter=False, zero_columns=frozenset(),
         yield target, wh
 
 
-def minimize_tuple(g, U: ClassTuple, full_enum=False, max_vertices=None):
+def minimize_tuple(g, U: ClassTuple, max_vertices=None):
     """A minimal-length tuple in the orbit of U together with a minimizing
     automorphism.
 
     Descends by single classic moves first, then certifies via the
-    reachable-shorter sweep for every multiplier class (or, behind the
-    flag, by enumerating all strictly shorter tuples).
+    reachable-shorter sweep for every multiplier class.
     """
     cur = U
     total = identity_automorphism(g)
@@ -172,20 +171,6 @@ def minimize_tuple(g, U: ClassTuple, full_enum=False, max_vertices=None):
                     step = (wh.aut, target)
                     break
                 if step is not None:
-                    break
-        if step is None and full_enum:
-            arity = len(cur.entries)
-            for length in range(arity, cur.length):
-                for cand in enumerate_tuples(g, arity, length):
-                    for a in _class_reps(g):
-                        wh = wh_orbit_decide(g, a, frozenset(), cur, cand,
-                                             max_vertices=max_vertices)
-                        if wh is not None:
-                            step = (wh.aut, cand)
-                            break
-                    if step:
-                        break
-                if step:
                     break
         if step is None:
             break

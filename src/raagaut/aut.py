@@ -13,7 +13,8 @@ import json
 from itertools import permutations, product
 
 from .core import (InputError, Word, canonical_class, format_word,
-                   inverse_word, lexnf, parse_word, reduce_word, ClassTuple)
+                   inverse_word, lexnf, parse_word, power_word, reduce_word,
+                   ClassTuple)
 from .errors import BudgetError
 from .exactmat import int_inverse
 
@@ -351,13 +352,6 @@ def eta(wh: GenWhitehead):
     return tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim))
 
 
-def _power_word(cls_order, exps):
-    out = []
-    for b, e in zip(cls_order, exps):
-        out.extend([(b, 1 if e > 0 else -1)] * abs(e))
-    return tuple(out)
-
-
 def theta(g, a, matrix) -> GenWhitehead:
     """Inverse of eta: rebuild the automorphism from a block matrix of the
     required shape (invertible integer top-left block over [a], arbitrary
@@ -378,25 +372,22 @@ def theta(g, a, matrix) -> GenWhitehead:
     def images_from(mat):
         ims = {}
         col = {b: j for j, b in enumerate(basis)}
+
+        def power(kind, payload):
+            j = col[(kind, payload)]
+            return power_word((b, mat[i][j]) for i, b in enumerate(cls_order))
+
         for v in g.vertices:
             if v in g.adjdom_class(a):
-                j = col[("r", v)]
-                ims[v] = _power_word(cls_order,
-                                     [mat[i][j] for i in range(n)])
+                ims[v] = power("r", v)
             elif v in g.star(a) and v in g.dom(a):
-                j = col[("r", v)]
-                tail = _power_word(cls_order, [mat[i][j] for i in range(n)])
-                ims[v] = ((v, 1),) + tail
+                ims[v] = ((v, 1),) + power("r", v)
             elif v in g.dom(a):
-                ju, jv = col[("l", v)], col[("r", v)]
-                left = _power_word(cls_order, [mat[i][ju] for i in range(n)])
-                right = _power_word(cls_order, [mat[i][jv] for i in range(n)])
-                ims[v] = left + ((v, 1),) + right
+                ims[v] = power("l", v) + ((v, 1),) + power("r", v)
             else:
                 comp = g.component_of(a, v)
                 if comp is not None and len(comp) >= 2:
-                    j = col[("Y", comp)]
-                    u = _power_word(cls_order, [mat[i][j] for i in range(n)])
+                    u = power("Y", comp)
                     ims[v] = inverse_word(u) + ((v, 1),) + u
                 else:
                     ims[v] = ((v, 1),)
@@ -439,8 +430,7 @@ def inner_witness(wh: GenWhitehead):
             return None
     if e is None:
         e = (0,) * n
-    word = _power_word(cls_order, e)
-    return word
+    return power_word(zip(cls_order, e))
 
 
 def conjugation_by(g, word) -> Automorphism:

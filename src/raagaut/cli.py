@@ -111,9 +111,6 @@ def build_parser():
                          "tuple budget")
     ap.add_argument("--max-depth", type=int, default=None,
                     help="search budget for peak reduction")
-    ap.add_argument("--full-enum", action="store_true",
-                    help="certify minimality by full shorter-tuple "
-                         "enumeration as well")
     ap.add_argument("--json", action="store_true", help="JSON output")
     return ap
 
@@ -180,7 +177,7 @@ def cmd_orbit(args):
 def cmd_minimize(args):
     g = need_graph(args)
     U = parse_tuple(g, need(args, "tuple1", "--tuple"))
-    m, mu = minimize_tuple(g, U, full_enum=args.full_enum)
+    m, mu = minimize_tuple(g, U)
     if mu.apply_to_tuple(U) != m:
         raise AssertionError("certificate failed re-verification")
     emit(args, {"minimal": [format_word(c.word) for c in m.entries],
@@ -211,7 +208,10 @@ def cmd_stab_gens(args):
 def cmd_stab_pres(args):
     g = need_graph(args)
     W = parse_tuple(g, need(args, "tuple1", "--tuple"))
-    pres = stabilizer_presentation(g, W)
+    kw = {}
+    if args.max_vertices:
+        kw["max_vertices"] = args.max_vertices
+    pres = stabilizer_presentation(g, W, **kw)
 
     def verify():
         pres.check_relators(Automorphism.compose, Automorphism.invert,

@@ -175,6 +175,13 @@ def inverse_word(word) -> Word:
     return tuple((g, -s) for g, s in reversed(word))
 
 
+def power_word(pairs) -> Word:
+    """The word x1^e1 x2^e2 ... of the pairs (xi, ei): the letter (xi, +-1)
+    repeated |ei| times."""
+    return tuple(let for name, e in pairs
+                 for let in [(name, 1 if e > 0 else -1)] * abs(e))
+
+
 def reduce_word(g: DefiningGraph, word) -> Word:
     """Graphically reduce a word by deleting cancellable pairs to a fixpoint.
 
@@ -429,8 +436,8 @@ def _cancels_back(g, word, let):
 def enumerate_reduced_words(g, length, budget=None):
     """All graphically reduced words of exactly the given length.
 
-    Used by the exhaustive minimization (``minimize --full-enum``, through
-    ``enumerate_classes``); budget caps the output size.
+    ``enumerate_classes`` and ``enumerate_tuples`` build on it; budget caps
+    the output size.
     """
     letters = [(v, s) for v in g.vertices for s in (1, -1)]
     out = []

@@ -1,7 +1,8 @@
 """Small exact matrix helpers over Python integers and Fractions.
 
 Matrices are tuples of tuples.  Everything here is exact; no floats.
-All rational elimination goes through ``rref``.
+All rational elimination goes through ``rref``, and all integer row
+reduction through ``hermite``.
 """
 
 from __future__ import annotations
@@ -58,7 +59,9 @@ def rref(rows, ncols):
     """Gauss-Jordan over the rationals on the first ``ncols`` columns; any
     further columns (an augmented block) are carried along.  Returns the
     reduced rows as lists of Fractions and the pivot column of each of the
-    first ``len(pivots)`` rows."""
+    first ``len(pivots)`` rows.  The rows not yet used keep their input
+    order, so each pivot row starts as the lowest such row that is nonzero
+    in its column after the earlier pivots cleared it."""
     m = [list(map(Fraction, row)) for row in rows]
     pivots = []
     for j in range(ncols):
@@ -68,7 +71,7 @@ def rref(rows, ncols):
         piv = next((i for i in range(r, len(m)) if m[i][j] != 0), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
+        m.insert(r, m.pop(piv))
         f = m[r][j]
         m[r] = [x / f for x in m[r]]
         for i in range(len(m)):
@@ -91,25 +94,6 @@ def int_inverse(A):
     return tuple(tuple(int(x) for x in row) for row in inv)
 
 
-def left_kernel_basis(A):
-    """Basis of { x : x A = 0 } over the rationals (A given by rows)."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    # kernel of A^T v = 0 with v in Q^rows
-    m, pivots = rref([[A[i][j] for i in range(rows)] for j in range(cols)],
-                     rows)
-    basis = []
-    for j in range(rows):
-        if j in pivots:
-            continue
-        v = [Fraction(0)] * rows
-        v[j] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][j]
-        basis.append(tuple(v))
-    return basis
-
-
 def solve_right(A, b):
     """One rational solution x of A x = b (A rows x cols, b length rows) or
     None if inconsistent."""
@@ -124,41 +108,45 @@ def solve_right(A, b):
     return tuple(x)
 
 
-def integer_row_hnf_transform(A):
-    """Row-reduce an integer matrix to row Hermite-style form, returning
-    (H, U) with U unimodular and U A = H.  Zero rows of H sit at the bottom,
-    and the corresponding rows of U span the integer left kernel of A."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    H = [list(row) for row in A]
-    U = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    r = 0
-    for j in range(cols):
+def hermite(rows, carry):
+    """Row Hermite normal form by integer row operations, applied to the
+    ``carry`` rows as well; returns (H, C).  Pivots are positive, each entry
+    above a pivot lies in [0, pivot), and zero rows come last.  Quotients
+    are floor divisions, so Fraction entries reduce too.
+
+    Per column: the pivot is the entry of least absolute value (lowest row
+    first), the other rows are reduced by it until it is alone, then it is
+    swapped into place, made positive, and the rows above are reduced."""
+    H = [list(r) for r in rows]
+    C = [list(r) for r in carry]
+
+    def add(i, q, r):
+        H[i] = [x + q * y for x, y in zip(H[i], H[r])]
+        C[i] = [x + q * y for x, y in zip(C[i], C[r])]
+
+    l = 0
+    for j in range(len(H[0]) if H else 0):
         while True:
-            nz = [i for i in range(r, rows) if H[i][j] != 0]
-            if not nz:
+            nz = [i for i in range(l, len(H)) if H[i][j] != 0]
+            if len(nz) < 2:
                 break
             piv = min(nz, key=lambda i: (abs(H[i][j]), i))
-            if H[piv][j] < 0:
-                H[piv] = [-x for x in H[piv]]
-                U[piv] = [-x for x in U[piv]]
-            done = True
             for i in nz:
-                if i == piv:
-                    continue
-                q = H[i][j] // H[piv][j]
-                if q:
-                    H[i] = [x - q * y for x, y in zip(H[i], H[piv])]
-                    U[i] = [x - q * y for x, y in zip(U[i], U[piv])]
-                if H[i][j] != 0:
-                    done = False
-            if done:
-                if piv != r:
-                    H[r], H[piv] = H[piv], H[r]
-                    U[r], U[piv] = U[piv], U[r]
-                r += 1
-                break
-    return tuple(map(tuple, H)), tuple(map(tuple, U))
+                if i != piv:
+                    add(i, -(H[i][j] // H[piv][j]), piv)
+        if not nz:
+            continue
+        H[l], H[nz[0]] = H[nz[0]], H[l]
+        C[l], C[nz[0]] = C[nz[0]], C[l]
+        if H[l][j] < 0:
+            H[l] = [-x for x in H[l]]
+            C[l] = [-x for x in C[l]]
+        for i in range(l):
+            q = H[i][j] // H[l][j]
+            if q:
+                add(i, -q, l)
+        l += 1
+    return tuple(map(tuple, H)), tuple(map(tuple, C))
 
 
 def lcm(a, b):

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .core import power_word
 from .errors import BudgetError, InputError
-from .exactmat import (int_inverse, integer_row_hnf_transform,
-                       left_kernel_basis, lcm, lcm_of_denominators, mat_det,
-                       mat_eq, mat_identity, mat_mul, rref, solve_right)
+from .exactmat import (hermite, int_inverse, lcm, lcm_of_denominators,
+                       mat_det, mat_eq, mat_identity, mat_mul, rref,
+                       solve_right)
 
 SCHREIER_VERTEX_BUDGET = 1_000_000
 
@@ -129,86 +130,30 @@ def gq_normal_form(rows, n, k):
     if len(rows) != n + k:
         raise InputError("expected %d rows" % (n + k))
     m = len(rows[0]) if rows else 0
-    qA = [list(r) for r in mat_identity(n)]
-    qB = [[Fraction(0)] * k for _ in range(n)]
     bottom = rows[n:]
 
-    def add_bottom_combo(i, coeffs):
-        for j in range(m):
-            rows[i][j] += sum(c * bottom[t][j] for t, c in enumerate(coeffs))
-        for t, c in enumerate(coeffs):
-            qB[i][t] += c
+    # Step 1: a pivot row of the reduced bottom block is the bottom-row
+    # combination that vanishes on every column before its pivot and is 1
+    # there; it clears the top of its pivot column, and its carried
+    # identity columns give the qB update.  rref keeps the unused bottom
+    # rows in input order, which fixes qB when the bottom rows are
+    # dependent.
+    top = [r + [Fraction(0)] * k for r in rows[:n]]
+    R, pivots = rref([r + [int(i == t) for t in range(k)]
+                      for i, r in enumerate(bottom)], m)
+    for row, j in zip(R, pivots):
+        for i, t in enumerate(top):
+            c = t[j]
+            if c:
+                top[i] = [x - c * y for x, y in zip(t, row)]
 
-    def add_top(i, q, r):
-        # row_i += q * row_r  (both among the top n), q integer
-        for j in range(m):
-            rows[i][j] += q * rows[r][j]
-        for j in range(n):
-            qA[i][j] += q * qA[r][j]
-        for j in range(k):
-            qB[i][j] += q * qB[r][j]
-
-    def swap_top(i, r):
-        rows[i], rows[r] = rows[r], rows[i]
-        qA[i], qA[r] = qA[r], qA[i]
-        qB[i], qB[r] = qB[r], qB[i]
-
-    def negate_top(i):
-        rows[i] = [-x for x in rows[i]]
-        qA[i] = [-x for x in qA[i]]
-        qB[i] = [-x for x in qB[i]]
-
-    # Step 1: per column, use a bottom-row combination vanishing on all
-    # previous columns to zero out the top entries if possible.
-    for j in range(m):
-        restricted = [row[:j] for row in bottom]
-        if k:
-            kern = left_kernel_basis(restricted) if j else \
-                [tuple(Fraction(int(i == t)) for i in range(k))
-                 for t in range(k)]
-            witness = None
-            for v in kern:
-                val = sum(v[t] * bottom[t][j] for t in range(k))
-                if val != 0:
-                    witness = (v, val)
-                    break
-            if witness is not None:
-                v, val = witness
-                for i in range(n):
-                    if rows[i][j] != 0:
-                        c = -rows[i][j] / val
-                        add_bottom_combo(i, [c * x for x in v])
-
-    # Steps 2-4: integer Hermite reduction of the top block.
-    l = 0
-    for j in range(m):
-        if l >= n:
-            break
-        nz = [i for i in range(l, n) if rows[i][j] != 0]
-        if not nz:
-            continue
-        while True:
-            nz = [i for i in range(l, n) if rows[i][j] != 0]
-            piv = min(nz, key=lambda i: (abs(rows[i][j]), i))
-            others = [i for i in nz if i != piv]
-            if not others:
-                break
-            for i in others:
-                q = rows[i][j] // rows[piv][j]
-                if q:
-                    add_top(i, -q, piv)
-        if piv != l:
-            swap_top(l, piv)
-        if rows[l][j] < 0:
-            negate_top(l)
-        for i in range(l):
-            q = rows[i][j] // rows[l][j]
-            if q:
-                add_top(i, -q, l)
-        l += 1
-
-    N = tuple(tuple(r) for r in rows)
-    Q = BlockMatrix(n, k, [[int(x) for x in r] for r in qA], qB)
+    # Steps 2-4: integer Hermite reduction of the top block, carrying
+    # [qA | qB] = [I_n | qB].
+    H, C = hermite([t[:m] for t in top],
+                   [[int(i == j) for j in range(n)] + t[m:]
+                    for i, t in enumerate(top)])
+    N = H + tuple(map(tuple, bottom))
+    Q = BlockMatrix(n, k, [c[:n] for c in C], [c[n:] for c in C])
     return N, Q
 
 
@@ -515,8 +460,7 @@ def gl_word(C):
                 raise AssertionError("GL reduction failed")
     # ops in order turned the det-one part M0 into I: op_r ... op_1 M0 = I,
     # so M0 = op_1^-1 op_2^-1 ... op_r^-1, read left to right.
-    for (i, j, q) in ops:
-        word.extend([(ename(i, j), -1 if q > 0 else 1)] * abs(q))
+    word.extend(power_word((ename(i, j), -q) for i, j, q in ops))
     gens_all = dict(gl_generator_matrices(m))
     check = evaluate_word(tuple(word), gens_all, mat_mul, int_inverse,
                           mat_identity(m))
@@ -725,18 +669,13 @@ def _embed_gl(n, k, l, small):
 
 
 def kernel_lattice_basis(bottom, d):
-    """Basis of { x in (1/d Z)^k : x * bottom = 0 } where bottom has k rows."""
-    k = len(bottom)
-    if k == 0:
-        return []
+    """Basis of { x in (1/d Z)^k : x * bottom = 0 } where bottom has k rows:
+    the carried rows of the zero rows of its Hermite normal form."""
     denom = lcm(d, target_lcd(bottom))
     scaled = [[int(x * denom) for x in row] for row in bottom]
-    H, U = integer_row_hnf_transform(scaled)
-    basis = []
-    for i, row in enumerate(H):
-        if all(x == 0 for x in row):
-            basis.append(tuple(Fraction(u, d) for u in U[i]))
-    return basis
+    H, U = hermite(scaled, mat_identity(len(bottom)))
+    return [tuple(Fraction(u, d) for u in U[i])
+            for i, row in enumerate(H) if not any(row)]
 
 
 def gd_stabilizer(rows, n, k, d):
@@ -806,14 +745,9 @@ def gd_stabilizer(rows, n, k, d):
             sinv = int_inverse(small)
             for i in range(l):
                 for j in range(n - l):
-                    word = []
-                    for t in range(n - l):
-                        e = sinv[j][t]
-                        if e:
-                            word.extend([("m_%d_%d" % (i + 1, t + 1),
-                                          1 if e > 0 else -1)] * abs(e))
                     action_glm[(gname, "m_%d_%d" % (i + 1, j + 1))] = \
-                        tuple(word)
+                        power_word(("m_%d_%d" % (i + 1, t + 1), sinv[j][t])
+                                   for t in range(n - l))
         p_top = semidirect_presentation(p_gl, p_m, action_glm)
     else:
         p_top = p_gl
@@ -823,14 +757,9 @@ def gd_stabilizer(rows, n, k, d):
         for gname, gmat in p_top.generators:
             for i in range(n):
                 for t in range(len(K_basis)):
-                    word = []
-                    for r in range(n):
-                        e = gmat.A[r][i]
-                        if e:
-                            word.extend([("k_%d_%d" % (r + 1, t + 1),
-                                          1 if e > 0 else -1)] * abs(e))
                     action_k[(gname, "k_%d_%d" % (i + 1, t + 1))] = \
-                        tuple(word)
+                        power_word(("k_%d_%d" % (r + 1, t + 1), gmat.A[r][i])
+                                   for r in range(n))
         pres = semidirect_presentation(p_top, p_k, action_k)
     else:
         pres = p_top
@@ -868,21 +797,15 @@ def gd_stab_word(X: BlockMatrix, struct: StabStructure):
         coeffs = solve_int_combo(struct.K_basis, X.B[i])
         if coeffs is None:
             raise InputError("translation part is not in the kernel lattice")
-        for t, c in enumerate(coeffs):
-            if c:
-                word.extend([("k_%d_%d" % (i + 1, t + 1),
-                              1 if c > 0 else -1)] * abs(c))
+        word.extend(power_word(("k_%d_%d" % (i + 1, t + 1), c)
+                               for t, c in enumerate(coeffs)))
     A = X.A
     for i in range(n):
         for j in range(l):
             if A[i][j] != (1 if i == j else 0):
                 raise InputError("element does not stabilize the pivots")
-    for i in range(l):
-        for j in range(n - l):
-            e = A[i][l + j]
-            if e:
-                word.extend([("m_%d_%d" % (i + 1, j + 1),
-                              1 if e > 0 else -1)] * abs(e))
+    word.extend(power_word(("m_%d_%d" % (i + 1, j + 1), A[i][l + j])
+                           for i in range(l) for j in range(n - l)))
     small = tuple(tuple(A[l + i][l + j] for j in range(n - l))
                   for i in range(n - l))
     word.extend(gl_word(small))

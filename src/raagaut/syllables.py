@@ -12,7 +12,7 @@ with everything in the star.
 from __future__ import annotations
 
 from .aut import GenWhitehead, eta, za_basis
-from .core import ClassTuple, ConjClass, canonical_class
+from .core import ClassTuple, ConjClass, canonical_class, power_word
 from .errors import BudgetError, InputError
 
 
@@ -80,8 +80,7 @@ class Decomposition:
         for s in self.syllables[start:start + count]:
             if not cyclic:
                 word.append(s.left)
-            for gen, e in zip(self.cls_order, s.exps):
-                word.extend([(gen, 1 if e > 0 else -1)] * abs(e))
+            word.extend(power_word(zip(self.cls_order, s.exps)))
             word.extend(s.u)
         return tuple(word)
 

@@ -2,9 +2,11 @@
 
 Everything here works on its own representations (signed integer letters,
 plain tuples) and implements textbook algorithms directly, so it shares no
-code path with the package.  The one exception is the all-tuple orbit
-graph, which runs the package's own Whitehead sweeps at every tuple: it is
-the reference for the graph built on representatives, not for the sweeps.
+code path with the package.  The exceptions are the all-tuple orbit graph,
+which runs the package's own Whitehead sweeps at every tuple, and the
+enumeration minimizer, which runs the package's one-group orbit decision
+on every shorter tuple: they are references for the graph built on
+representatives and for the minimizing sweep, not for the parts they call.
 """
 
 from fractions import Fraction
@@ -12,7 +14,8 @@ from itertools import product
 
 from raagaut.apps import wh_reachable
 from raagaut.aut import identity_automorphism, permutation_automorphisms
-from raagaut.whorbit import wh_stabilizer_presentation
+from raagaut.core import enumerate_tuples
+from raagaut.whorbit import wh_orbit_decide, wh_stabilizer_presentation
 
 
 # -- free group cyclic words --------------------------------------------------
@@ -503,6 +506,88 @@ def fraction_solve_right(A, b):
     return tuple(x)
 
 
+def kernel_search_normal_form(rows, n, k):
+    """The block normal form as one rational left kernel per column and a
+    Euclidean loop of its own: (N, qA, qB) with N = [[qA, qB], [0, I]] times
+    the input.  Per column j, the first kernel vector of the bottom block's
+    columns before j that is nonzero on column j clears the top of column
+    j; then the top block is Hermite-reduced with the pivot of least
+    absolute value, swapped into place, made positive, and the rows above
+    reduced into [0, pivot)."""
+    rows = [list(map(Fraction, r)) for r in rows]
+    m = len(rows[0]) if rows else 0
+    bottom = rows[n:]
+    top = [rows[i] + [Fraction(int(i == t)) for t in range(n + k)]
+           for i in range(n)]
+    for j in range(m):
+        for v in fraction_left_kernel([r[:j] for r in bottom]):
+            val = sum(v[t] * bottom[t][j] for t in range(k))
+            if val:
+                break
+        else:
+            continue
+        combo = [sum(v[t] * bottom[t][c] for t in range(k)) for c in range(m)]
+        for row in top:
+            f = -row[j] / val
+            for c in range(m):
+                row[c] += f * combo[c]
+            for t in range(k):
+                row[m + n + t] += f * v[t]
+    l = 0
+    for j in range(m):
+        nz = [i for i in range(l, n) if top[i][j] != 0]
+        if not nz:
+            continue
+        while len(nz) > 1:
+            piv = min(nz, key=lambda i: (abs(top[i][j]), i))
+            for i in nz:
+                if i != piv:
+                    q = top[i][j] // top[piv][j]
+                    top[i] = [x - q * y for x, y in zip(top[i], top[piv])]
+            nz = [i for i in range(l, n) if top[i][j] != 0]
+        top[l], top[nz[0]] = top[nz[0]], top[l]
+        if top[l][j] < 0:
+            top[l] = [-x for x in top[l]]
+        for i in range(l):
+            q = top[i][j] // top[l][j]
+            top[i] = [x - q * y for x, y in zip(top[i], top[l])]
+        l += 1
+    N = tuple(tuple(r[:m]) for r in top) + tuple(map(tuple, bottom))
+    return (N, tuple(tuple(int(x) for x in r[m:m + n]) for r in top),
+            tuple(tuple(r[m + n:]) for r in top))
+
+
+def euclid_row_hnf_transform(A):
+    """(H, U) with U unimodular and U A = H in row Hermite-style form, zero
+    rows last: per column, make the least pivot positive, reduce the other
+    rows by floor division until it is alone, then swap it into place."""
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    H = [list(row) for row in A]
+    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    r = 0
+    for j in range(cols):
+        while True:
+            nz = [i for i in range(r, rows) if H[i][j] != 0]
+            if not nz:
+                break
+            piv = min(nz, key=lambda i: (abs(H[i][j]), i))
+            if H[piv][j] < 0:
+                H[piv] = [-x for x in H[piv]]
+                U[piv] = [-x for x in U[piv]]
+            for i in nz:
+                if i != piv:
+                    q = H[i][j] // H[piv][j]
+                    H[i] = [x - q * y for x, y in zip(H[i], H[piv])]
+                    U[i] = [x - q * y for x, y in zip(U[i], U[piv])]
+            if all(H[i][j] == 0 for i in nz if i != piv):
+                H[r], H[piv] = H[piv], H[r]
+                U[r], U[piv] = U[piv], U[r]
+                r += 1
+                break
+    return H, U
+
+
 def rank_is_normal_form(rows, n, k):
     """The normal-form test with the bottom block's pivot columns found as
     the columns where the rank of the column prefix grows."""
@@ -529,6 +614,24 @@ def rank_is_normal_form(rows, n, k):
             return False
         pivots.append(p)
     return True
+
+
+# -- minimization by enumeration ------------------------------------------------
+
+def enumeration_minimize(g, U):
+    """A tuple of least length in the orbit of U by plain enumeration: step
+    to the first strictly shorter tuple that the generalized Whitehead group
+    of some vertex reaches (``wh_orbit_decide`` with empty support), until
+    no shorter tuple is reached."""
+    arity = len(U.entries)
+    while True:
+        step = next((cand for length in range(arity, U.length)
+                     for cand in enumerate_tuples(g, arity, length)
+                     if any(wh_orbit_decide(g, a, frozenset(), U, cand)
+                            is not None for a in g.vertices)), None)
+        if step is None:
+            return U
+        U = step
 
 
 # -- the orbit graph on every tuple -------------------------------------------

@@ -15,7 +15,7 @@ from raagaut.linalg import evaluate_word
 
 from .oracles import (MatrixGroupChain, abelian_image, abelianization,
                       all_tuple_loop_elements, all_tuple_orbit_graph,
-                      oracle_equivalent, oracle_minimize,
+                      enumeration_minimize, oracle_equivalent, oracle_minimize,
                       short_identity_loops)
 
 W = parse_word
@@ -65,9 +65,8 @@ def test_minimize_full_enum_agrees(split):
     for _ in range(5):
         words = [tuple(rng.choice(letters) for _ in range(3))]
         U = class_tuple(split, words)
-        m1, _ = minimize_tuple(split, U)
-        m2, _ = minimize_tuple(split, U, full_enum=True)
-        assert m1.length == m2.length
+        m, _ = minimize_tuple(split, U)
+        assert m.length == enumeration_minimize(split, U).length
 
 
 def test_wh_reachable_witnesses(split):

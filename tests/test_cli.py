@@ -169,9 +169,10 @@ def test_schreier_budget_counts_component_vertices(files, capsys, command):
 
 
 @pytest.mark.parametrize("command", [["orbit", "--tuple2", "b"],
-                                     ["stab-gens"]])
+                                     ["stab-gens"], ["stab-pres"]])
 def test_orbit_graph_budget_counts_tuples(files, capsys, command):
-    # the orbit graph of F2 [a] is one representative and its four images
+    # the orbit graph of F2 [a] is one representative and its four images;
+    # the presentation complex is built on it, under the same budget
     argv = command + ["--graph", files["f2"], "--tuple", "a", "--json",
                       "--max-vertices"]
     code, _, err = run(argv + ["4"], capsys)

@@ -1,20 +1,22 @@
-"""The one rational elimination (rref), the Bareiss determinant and the
-one-pass integral inverse, checked against separate Fraction eliminations
-on seeded random matrices."""
+"""The one rational elimination (rref), the one integer Hermite reduction
+(hermite), the Bareiss determinant and the one-pass integral inverse,
+checked against separate Fraction eliminations on seeded random matrices."""
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from raagaut.errors import InputError
-from raagaut.exactmat import (int_inverse, left_kernel_basis, mat_det,
-                              mat_identity, mat_mul, rref, solve_right)
-from raagaut.linalg import gq_normal_form, is_normal_form
+from raagaut.exactmat import (hermite, int_inverse, mat_det, mat_identity,
+                              mat_mul, rref, solve_right)
+from raagaut.linalg import gq_normal_form, is_normal_form, kernel_lattice_basis
 
-from .oracles import (fraction_det, fraction_int_inverse,
-                      fraction_left_kernel, fraction_rank,
-                      fraction_solve_right, rank_is_normal_form)
+from .oracles import (euclid_row_hnf_transform, fraction_det,
+                      fraction_int_inverse, fraction_rank,
+                      fraction_solve_right, kernel_search_normal_form,
+                      rank_is_normal_form)
 
 
 def random_matrix(rng, rows, cols, rational=False):
@@ -111,9 +113,11 @@ def test_rref_rank_kernel_solve_match_oracles():
                 assert row[j] == (1 if pivots[r:r + 1] == [j] else 0)
             if r >= len(pivots):
                 assert all(x == 0 for x in row)
-        basis = left_kernel_basis(A)
-        assert basis == fraction_left_kernel(A)
-        for v in basis:
+        carried = rref([list(row) + [int(i == t) for t in range(rows)]
+                        for i, row in enumerate(A)], cols)[0]
+        kernel = [row[cols:] for row in carried[len(pivots):]]
+        assert fraction_rank(kernel) == rows - len(pivots)
+        for v in kernel:
             assert all(sum(v[i] * A[i][j] for i in range(rows)) == 0
                        for j in range(cols))
         x0 = [rng.randint(-3, 3) for _ in range(cols)]
@@ -145,3 +149,79 @@ def test_is_normal_form_matches_rank_oracle():
             assert got == rank_is_normal_form(cand, n, k), (cand, n, k)
             outcomes.add(got)
     assert outcomes == {True, False}
+
+
+def test_hermite_shape_transform_and_unimodular_carry():
+    """H is in Hermite shape with its zero rows last, an identity carry
+    becomes a determinant +-1 matrix C with C A = H, and any other carry X
+    becomes C X."""
+    rng = random.Random(11)
+    seen = set()
+    for trial in range(1500):
+        rows, cols = SHAPES[trial % len(SHAPES)]
+        A = random_matrix(rng, rows, cols, rational=trial % 3 == 2)
+        H, C = hermite(A, mat_identity(rows))
+        assert is_normal_form(H, rows, 0), (A, H)
+        assert mat_mul(C, A) == H
+        assert mat_det(C) in (1, -1)
+        rank = fraction_rank(A)
+        assert all(any(r) for r in H[:rank]) and not any(map(any, H[rank:]))
+        X = random_matrix(rng, rows, 3)
+        assert hermite(A, X) == (H, mat_mul(C, X))
+        seen.add("dependent" if rank < min(rows, cols) else "full")
+        seen.update("zero row" for r in A if cols and not any(r))
+        seen.update("negative" for r in A if any(r)
+                    and next(x for x in r if x) < 0)
+        seen.update("rational" for r in A for x in r
+                    if Fraction(x).denominator > 1)
+    assert seen == {"dependent", "full", "zero row", "negative", "rational"}
+
+
+def test_gq_normal_form_matches_kernel_search():
+    """One rref of the bottom block and one hermite of the top give the same
+    (N, Q) as a rational kernel per column and a Euclidean loop, also when
+    the bottom rows are dependent and Q is not determined by N alone."""
+    rng = random.Random(12)
+    dependent = 0
+    for trial in range(1500):
+        n, k, m = rng.randint(0, 4), rng.randint(0, 4), rng.randint(1, 5)
+        rows = random_matrix(rng, n + k, m, rational=trial % 2 == 1)
+        N, Q = gq_normal_form(rows, n, k)
+        assert (N, Q.A, Q.B) == kernel_search_normal_form(rows, n, k)
+        assert mat_mul(Q.full(), rows) == N
+        dependent += fraction_rank(rows[n:]) < k
+    assert dependent > 300
+
+
+def _integer_combination(v, basis):
+    """Whether v is an integer combination of the (independent) basis."""
+    x = fraction_solve_right([[b[i] for b in basis] for i in range(len(v))],
+                             v)
+    return x is not None and all(c.denominator == 1 for c in x)
+
+
+def test_kernel_lattice_basis_spans_the_euclidean_lattice():
+    """The zero rows of hermite's carry span the same lattice of
+    { x in (1/d Z)^k : x * bottom = 0 } as a separate Euclidean transform,
+    though the basis may differ (a vector for its negative, say)."""
+    rng = random.Random(13)
+    nonzero = 0
+    for trial in range(1500):
+        k, m = rng.randint(1, 5), rng.randint(1, 4)
+        bottom = [list(map(Fraction, r))
+                  for r in random_matrix(rng, k, m, rational=trial % 2 == 1)]
+        d = rng.choice((1, 2, 3, 6))
+        basis = kernel_lattice_basis(bottom, d)
+        denom = lcm(d, *(x.denominator for r in bottom for x in r))
+        H, U = euclid_row_hnf_transform(
+            [[int(x * denom) for x in r] for r in bottom])
+        want = [tuple(Fraction(u, d) for u in U[i])
+                for i, r in enumerate(H) if not any(r)]
+        assert len(basis) == len(want) == k - fraction_rank(bottom)
+        for v in basis:
+            assert all(sum(v[t] * bottom[t][j] for t in range(k)) == 0
+                       for j in range(m))
+            assert _integer_combination(v, want)
+        assert all(_integer_combination(w, basis) for w in want)
+        nonzero += bool(basis)
+    assert nonzero > 500
