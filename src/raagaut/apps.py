@@ -5,8 +5,8 @@ stabilizer presentation complex.
 Reachable same-length or shorter tuples under one multiplier group are
 enumerated by sweeping candidate class-exponent matrices over the tuple's
 own syllable frames: the substitution form of the action makes this sweep
-exhaustive, so no global enumeration of shorter tuples is needed (that
-enumeration stays available behind a flag for cross-checking).
+exhaustive, so no global enumeration of shorter tuples is needed (the
+tests cross-check against that enumeration, ``oracles.enumeration_minimize``).
 
 The orbit graph is taken up to the finite group P of signed graph
 symmetries, as in Whitehead's algorithm and McCool's: its vertices are

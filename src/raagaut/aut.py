@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from itertools import permutations, product
+from math import prod
 
 from .core import (InputError, Word, canonical_class, format_word,
                    inverse_word, lexnf, parse_word, power_word, reduce_word,
@@ -170,7 +171,8 @@ class GenWhitehead:
     """A generalized Whitehead automorphism together with its tag.
 
     ``classic`` optionally records (multiplier letter, support) when the
-    automorphism is a classic Whitehead automorphism built as such.
+    automorphism is a classic Whitehead automorphism (see
+    ``classic_whitehead``).
     """
 
     __slots__ = ("aut", "tag", "classic")
@@ -197,8 +199,7 @@ class GenWhitehead:
         classic = None
         if self.classic is not None:
             m, supp = self.classic
-            classic = ((m[0], -m[1]),
-                       frozenset((v, -s) for v, s in supp))
+            classic = ((m[0], -m[1]), supp)
         return GenWhitehead(self.aut.invert(), self.tag, classic,
                             _skip_check=True)
 
@@ -233,9 +234,27 @@ def mult_tag(g, a):
     return MultTag(a, g.adjdom_class(a))
 
 
-def make_whitehead(g, a, images, inverse_images, classic=None) -> GenWhitehead:
+def make_whitehead(g, a, images, inverse_images) -> GenWhitehead:
     aut = Automorphism(g, images, inverse_images)
-    return GenWhitehead(aut, mult_tag(g, a), classic)
+    return GenWhitehead(aut, mult_tag(g, a))
+
+
+def classic_whitehead(g, m, supp, _skip_check=False) -> GenWhitehead:
+    """The classic Whitehead automorphism with multiplier letter m and
+    support supp: x -> x m when (x, 1) is in supp, x -> m^-1 x when (x, -1)
+    is, x -> m^-1 x m when both are, and every other generator is fixed.
+    Its inverse is the move (m^-1, supp)."""
+    supp = frozenset(supp)
+    minv = (m[0], -m[1])
+    ims, inv = {}, {}
+    for v in g.vertices:
+        left = (v, -1) in supp
+        right = (v, 1) in supp
+        ims[v] = (minv,) * left + ((v, 1),) + (m,) * right
+        inv[v] = (m,) * left + ((v, 1),) + (minv,) * right
+    aut = Automorphism(g, ims, inv, _skip_check=_skip_check)
+    return GenWhitehead(aut, mult_tag(g, m[0]), (m, supp),
+                        _skip_check=_skip_check)
 
 
 def support(wh: GenWhitehead):
@@ -321,7 +340,6 @@ def eta(wh: GenWhitehead):
     basis = za_basis(g, a)
     n = len(cls)
     dim = len(basis)
-    col_of = {b: j for j, b in enumerate(basis)}
     cols = [[0] * dim for _ in range(dim)]
     for j, b in enumerate(basis):
         col = cols[j]
@@ -489,31 +507,8 @@ def permutation_automorphisms(g, budget=100_000):
     return g._cache[key]
 
 
-def _transvection(g, target, mult, side):
-    """target -> target*mult (side="right") or mult^-1... left form is
-    target -> mult*target."""
-    ims = {v: ((v, 1),) for v in g.vertices}
-    inv = {v: ((v, 1),) for v in g.vertices}
-    if side == "right":
-        ims[target] = ((target, 1), mult)
-        inv[target] = ((target, 1), (mult[0], -mult[1]))
-    else:
-        ims[target] = (mult, (target, 1))
-        inv[target] = ((mult[0], -mult[1]), (target, 1))
-    return Automorphism(g, ims, inv, _skip_check=True)
-
-
-def _partial_conjugation(g, mult, comp):
-    ims = {v: ((v, 1),) for v in g.vertices}
-    inv = {v: ((v, 1),) for v in g.vertices}
-    minv = (mult[0], -mult[1])
-    for c in comp:
-        ims[c] = (mult, (c, 1), minv)
-        inv[c] = (minv, (c, 1), mult)
-    return Automorphism(g, ims, inv, _skip_check=True)
-
-
-def _inversion(g, a):
+def inversion(g, a) -> Automorphism:
+    """The inversion a -> a^-1, fixing every other generator."""
     ims = {v: ((v, 1),) for v in g.vertices}
     ims[a] = ((a, -1),)
     return Automorphism(g, ims, dict(ims), _skip_check=True)
@@ -537,17 +532,18 @@ def laurence_generators(g):
             for b in g.vertices:
                 if a == b or not g.dominates(a, b):
                     continue
-                add(GenWhitehead(_transvection(g, b, (a, 1), "right"),
-                                 mult_tag(g, a), _skip_check=True))
+                # b -> b a, and b -> a^-1 b
+                add(classic_whitehead(g, (a, 1), {(b, 1)}, _skip_check=True))
                 if not g.adjacent(a, b):
-                    add(GenWhitehead(_transvection(g, b, (a, -1), "left"),
-                                     mult_tag(g, a), _skip_check=True))
+                    add(classic_whitehead(g, (a, 1), {(b, -1)},
+                                          _skip_check=True))
         for a in g.vertices:
             for comp in g.components_outside_star(a):
-                add(GenWhitehead(_partial_conjugation(g, (a, 1), comp),
-                                 mult_tag(g, a), _skip_check=True))
+                # c -> a c a^-1 on the component
+                conj = {(c, s) for c in comp for s in (1, -1)}
+                add(classic_whitehead(g, (a, -1), conj, _skip_check=True))
         for a in g.vertices:
-            add(GenWhitehead(_inversion(g, a), PermTag(), _skip_check=True))
+            add(GenWhitehead(inversion(g, a), PermTag(), _skip_check=True))
         for pi in graph_symmetries(g):
             ims = {v: ((pi[v], 1),) for v in g.vertices}
             inv = {pi[v]: ((v, 1),) for v in g.vertices}
@@ -577,83 +573,40 @@ def enumerate_classic_whitehead(g, long_range_only=False, budget=200_000):
     out.append(GenWhitehead(identity, PermTag(), _skip_check=True))
     seen.add(identity)
     for a in g.vertices:
+        # each slot lists the support letters of its alternative actions
+        slots = [((), ((b, 1),), ((b, -1),), ((b, 1), (b, -1)))
+                 for b in sorted(g.dom(a) - g.star(a), key=g.index.get)]
+        slots += [((), tuple((b, s) for b in comp for s in (1, -1)))
+                  for comp in g.components_outside_star(a) if len(comp) >= 2]
+        if not long_range_only:
+            slots += [((), ((b, 1),), ((b, -1),)) for b in sorted(
+                (g.star(a) & g.dom(a)) - {a}, key=g.index.get)]
+        if prod(len(slot) for slot in slots) > budget:
+            raise BudgetError("classic Whitehead enumeration too large")
         for sign in (1, -1):
-            m = (a, sign)
-            minv = (a, -sign)
-            singles = sorted(g.dom(a) - g.star(a), key=g.index.get)
-            bigs = [c for c in g.components_outside_star(a) if len(c) >= 2]
-            adjs = [] if long_range_only else sorted(
-                (g.star(a) & g.dom(a)) - {a}, key=g.index.get)
-            n_opts = [4] * len(singles) + [2] * len(bigs) + [3] * len(adjs)
-            total = 1
-            for x in n_opts:
-                total *= x
-            if total > budget:
-                raise BudgetError("classic Whitehead enumeration too large")
-            for choice in product(*[range(x) for x in n_opts]):
-                ims = {v: ((v, 1),) for v in g.vertices}
-                inv = {v: ((v, 1),) for v in g.vertices}
-                supp = set()
-                i = 0
-                for b in singles:
-                    c = choice[i]
-                    i += 1
-                    if c == 1:      # right: b -> b m
-                        ims[b] = ((b, 1), m)
-                        inv[b] = ((b, 1), minv)
-                        supp.add((b, 1))
-                    elif c == 2:    # left: b -> m^-1 b
-                        ims[b] = (minv, (b, 1))
-                        inv[b] = (m, (b, 1))
-                        supp.add((b, -1))
-                    elif c == 3:    # conjugate
-                        ims[b] = (minv, (b, 1), m)
-                        inv[b] = (m, (b, 1), minv)
-                        supp.add((b, 1))
-                        supp.add((b, -1))
-                for comp in bigs:
-                    c = choice[i]
-                    i += 1
-                    if c == 1:
-                        for b in comp:
-                            ims[b] = (minv, (b, 1), m)
-                            inv[b] = (m, (b, 1), minv)
-                            supp.add((b, 1))
-                            supp.add((b, -1))
-                for b in adjs:
-                    c = choice[i]
-                    i += 1
-                    if c == 1:      # b -> b m
-                        ims[b] = ((b, 1), m)
-                        inv[b] = ((b, 1), minv)
-                        supp.add((b, 1))
-                        supp.add((b, -1))
-                    elif c == 2:    # b -> m^-1 b
-                        ims[b] = (minv, (b, 1))
-                        inv[b] = (m, (b, 1))
-                        supp.add((b, 1))
-                        supp.add((b, -1))
-                aut = Automorphism(g, ims, inv, _skip_check=True)
-                if aut in seen:
+            for choice in product(*slots):
+                wh = classic_whitehead(
+                    g, (a, sign), [x for part in choice for x in part],
+                    _skip_check=True)
+                if wh.aut in seen:
                     continue
-                seen.add(aut)
-                out.append(GenWhitehead(aut, mult_tag(g, a),
-                                        classic=(m, frozenset(supp)),
-                                        _skip_check=True))
+                seen.add(wh.aut)
+                out.append(wh)
     g._cache[key] = out
     return out
 
 
 def classify_classic(wh: GenWhitehead):
-    """Detect whether an automorphism equals a classic long-range Whitehead
-    automorphism; return (multiplier letter, support) or None."""
-    if wh.classic is not None:
-        return wh.classic
-    g = wh.graph
-    for cand in enumerate_classic_whitehead(g, long_range_only=True):
-        if cand.classic is not None and cand.aut == wh.aut:
-            return cand.classic
-    return None
+    """The (multiplier letter, support) record of a classic Whitehead
+    automorphism: its own, or else that of the equal classic long-range move,
+    cached onto ``wh.classic``; None when there is none."""
+    if wh.classic is None:
+        for cand in enumerate_classic_whitehead(wh.graph,
+                                                long_range_only=True):
+            if cand.classic is not None and cand.aut == wh.aut:
+                wh.classic = cand.classic
+                break
+    return wh.classic
 
 
 def is_long_range(wh: GenWhitehead) -> bool:

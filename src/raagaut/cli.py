@@ -85,8 +85,28 @@ def emit(args, data, text_lines):
             print(line)
 
 
+class ArgumentParser(argparse.ArgumentParser):
+    """A usage error is an input error (exit 1), not argparse's exit 2,
+    which is the budget code."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
+def positive_int(text):
+    """The type of the budget options: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(
+            "expected a positive integer, got %r" % text)
+    return value
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = ArgumentParser(
         prog="raagaut",
         description="Automorphism orbits, peak reduction and stabilizer "
                     "presentations for right-angled Artin groups.")
@@ -106,10 +126,10 @@ def build_parser():
     ap.add_argument("--vertex", help="multiplier vertex")
     ap.add_argument("--support", default="",
                     help="comma-separated letters, e.g. 'c,c^-1'")
-    ap.add_argument("--max-vertices", type=int, default=None,
+    ap.add_argument("--max-vertices", type=positive_int, default=None,
                     help="Schreier graph vertex budget; orbit graph "
                          "tuple budget")
-    ap.add_argument("--max-depth", type=int, default=None,
+    ap.add_argument("--max-depth", type=positive_int, default=None,
                     help="search budget for peak reduction")
     ap.add_argument("--json", action="store_true", help="JSON output")
     return ap
@@ -373,8 +393,8 @@ COMMANDS = {
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return COMMANDS[args.command](args)
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)

@@ -20,11 +20,12 @@ every assembled factorization is re-verified before it is returned.
 from __future__ import annotations
 
 from .aut import (Automorphism, GenWhitehead, MultTag, PermTag,
-                  classify_classic, compose_gw, conjugation_by,
-                  conjugation_letter_factors, enumerate_classic_whitehead,
-                  eta, identity_automorphism, inner_witness, is_in_whset,
-                  is_long_range, mult_tag, permutation_automorphisms, retag,
-                  split_around, support, theta, za_basis)
+                  classic_whitehead, classify_classic, compose_gw,
+                  conjugation_by, conjugation_letter_factors,
+                  enumerate_classic_whitehead, eta, identity_automorphism,
+                  inner_witness, inversion, is_in_whset, is_long_range,
+                  mult_tag, permutation_automorphisms, retag, split_around,
+                  support, theta, za_basis)
 from .core import ClassTuple, InputError, inverse_word, reduce_word
 from .errors import BudgetError
 
@@ -165,10 +166,8 @@ def all_letters(g):
 
 def classic_length_change(g, wh: GenWhitehead, W: ClassTuple) -> int:
     """|W| - |wh W| for a classic long-range automorphism, via the counting
-    bracket."""
-    info = wh.classic
-    if info is None:
-        info = classify_classic(wh)
+    bracket; an input error on any other move."""
+    info = classify_classic(wh) if is_long_range(wh) else None
     if info is None:
         raise InputError("not a classic long-range Whitehead automorphism")
     m, supp = info
@@ -210,33 +209,6 @@ def steinberg_conjugate(alpha: GenWhitehead, beta: GenWhitehead
 
 # -- classic automorphism constructors ---------------------------------------
 
-def classic_from_support(g, m, supp) -> GenWhitehead:
-    """The classic Whitehead automorphism with the given multiplier letter
-    and support (letters outside the star, components moved as blocks)."""
-    a = m[0]
-    star = g.star(a)
-    supp = frozenset(l for l in supp if l[0] not in star)
-    minv = (m[0], -m[1])
-    ims = {v: ((v, 1),) for v in g.vertices}
-    inv = {v: ((v, 1),) for v in g.vertices}
-    for v in g.vertices:
-        if v in star:
-            continue
-        right = (v, 1) in supp
-        left = (v, -1) in supp
-        if right and left:
-            ims[v] = (minv, (v, 1), m)
-            inv[v] = (m, (v, 1), minv)
-        elif right:
-            ims[v] = ((v, 1), m)
-            inv[v] = ((v, 1), minv)
-        elif left:
-            ims[v] = (minv, (v, 1))
-            inv[v] = (m, (v, 1))
-    aut = Automorphism(g, ims, inv)
-    return GenWhitehead(aut, mult_tag(g, a), classic=(m, supp))
-
-
 def complement_classic(g, wh: GenWhitehead) -> GenWhitehead:
     """The complement: inverted multiplier, complementary support, same
     action on conjugacy classes (it differs from the original by an inner
@@ -244,7 +216,7 @@ def complement_classic(g, wh: GenWhitehead) -> GenWhitehead:
     m, supp = wh.classic
     a = m[0]
     full = frozenset(l for l in all_letters(g) if l[0] not in g.star(a))
-    comp = classic_from_support(g, (m[0], -m[1]), full - supp)
+    comp = classic_whitehead(g, (m[0], -m[1]), full - supp)
     expected = conjugation_by(g, ((m[0], -m[1]),)).compose(wh.aut)
     if comp.aut != expected:
         raise AssertionError("complement construction mismatch")
@@ -272,10 +244,10 @@ def shorter_factors(g, W: ClassTuple, alpha: GenWhitehead,
     A = sa | {ma}
     B = sb | {mb}
     full = all_letters(g)
-    b1supp = ((full - A) & (full - B)) - {(mb[0], -mb[1])}
-    beta1 = classic_from_support(g, (mb[0], -mb[1]), b1supp)
-    a1supp = (A & B) - {(a, 1), (a, -1)}
-    alpha1 = classic_from_support(g, ma, a1supp)
+    b1supp = {x for x in full - A - B if x[0] not in g.star(b)}
+    beta1 = classic_whitehead(g, (mb[0], -mb[1]), b1supp)
+    a1supp = {x for x in A & B if x[0] not in g.star(a)}
+    alpha1 = classic_whitehead(g, ma, a1supp)
     lhs = (W.length - beta1.aut.apply_to_tuple(W).length) + \
         (W.length - alpha1.aut.apply_to_tuple(W).length)
     rhs = (W.length - beta.aut.apply_to_tuple(W).length) + \
@@ -325,11 +297,11 @@ def classic_factor_list(wh: GenWhitehead, a=None):
                 if kind == "r" and payload in g.star(a):
                     raise AssertionError("long-range element moves the star")
                 if kind == "r":
-                    f = classic_from_support(g, (c, sgn), {(payload, 1)})
+                    f = classic_whitehead(g, (c, sgn), {(payload, 1)})
                 elif kind == "l":
-                    f = classic_from_support(g, (c, -sgn), {(payload, -1)})
+                    f = classic_whitehead(g, (c, -sgn), {(payload, -1)})
                 else:
-                    f = classic_from_support(
+                    f = classic_whitehead(
                         g, (c, sgn),
                         {(x, s) for x in payload for s in (1, -1)})
                 factors.append(f)
@@ -387,11 +359,8 @@ def lower_classic_peak(g, V: ClassTuple, alpha, beta, moves, index):
         img = m.aut.apply_to_tuple(aV)
         if img.length < V.length:
             first.append((m, img))
-    last = []
-    for m in moves:
-        img = m.aut.invert().apply_to_tuple(bV)
-        if img.length < V.length:
-            last.append((m, img))
+    last = [m for m in moves
+            if m.aut.invert().apply_to_tuple(bV).length < V.length]
     for m1, img1 in first:
         rem = target.compose(m1.aut.invert())
         hit = index.get(rem.key())
@@ -399,7 +368,7 @@ def lower_classic_peak(g, V: ClassTuple, alpha, beta, moves, index):
             return [m1, hit]
     for m1, img1 in first:
         inv1 = m1.aut.invert()
-        for mk, imgk in last:
+        for mk in last:
             rem = mk.aut.invert().compose(target).compose(inv1)
             if rem.is_identity():
                 return [m1, mk]
@@ -413,7 +382,7 @@ def lower_classic_peak(g, V: ClassTuple, alpha, beta, moves, index):
             if img2.length >= V.length:
                 continue
             inv2 = m2.aut.invert()
-            for mk, imgk in last:
+            for mk in last:
                 # target = mk * m3 * m2 * m1, so m3 = mk^-1 target m1^-1 m2^-1
                 rem = mk.aut.invert().compose(target).compose(
                     inv1).compose(inv2)
@@ -767,13 +736,10 @@ def _asym_leaf(g, V, alpha1, beta):
     return _asym_base_loop(g, V, alpha1, beta)
 
 
-def _classic_info(g, wh):
-    if wh.classic is not None:
-        return wh.classic
+def _classic_info(wh):
     info = classify_classic(wh)
     if info is None:
         raise AssertionError("expected a classic long-range automorphism")
-    wh.classic = info
     return info
 
 
@@ -782,12 +748,10 @@ def _asym_base_loop(g, V, alpha, beta):
     dominating class, against a general beta."""
     a = alpha.tag.vertex
     b = beta.tag.vertex
-    m, sa = _classic_info(g, alpha)
+    m, sa = _classic_info(alpha)
     if m[1] < 0:
         # mirror through the inversion of a and recurse once
-        rho_ims = {v: ((v, 1),) for v in g.vertices}
-        rho_ims[a] = ((a, -1),)
-        rho = Automorphism(g, rho_ims, dict(rho_ims), _skip_check=True)
+        rho = inversion(g, a)
         alpha_m = GenWhitehead(rho.compose(alpha.aut).compose(rho),
                                alpha.tag, _skip_check=True)
         beta_m = GenWhitehead(rho.compose(beta.aut).compose(rho), beta.tag,
@@ -880,7 +844,7 @@ def _asym_base_loop(g, V, alpha, beta):
                 g, classic_factor_list(beta_p, b), W1,
                 cls=g.adjdom_class(b), include_perms=False)
         beta0 = bfacts[0]
-        m0, s0 = _classic_info(g, beta0)
+        m0, s0 = _classic_info(beta0)
         if beta0.aut.apply_to_tuple(W1).length > W1.length or \
                 alpha_p.aut.apply_to_tuple(W1).length > W1.length:
             raise AssertionError("loop invariant lost: not a peak")
@@ -911,7 +875,7 @@ def _asym_base_loop(g, V, alpha, beta):
         if beta1.aut.apply_to_tuple(W1).length < W1.length:
             candidates.append(beta1)
         if (a, -1) in beta1.classic[1]:
-            trimmed = classic_from_support(
+            trimmed = classic_whitehead(
                 g, beta1.classic[0], beta1.classic[1] - {(a, -1)})
             if trimmed.aut.apply_to_tuple(W1).length < W1.length:
                 candidates.append(trimmed)

@@ -249,7 +249,6 @@ def matching_permutations(d: Decomposition, tup: ClassTuple,
     """
     g = d.graph
     a = d.vertex
-    star = g.star(a)
     pool = list(d.syllables)
     counts = []
     for cls in tup.entries:

@@ -241,3 +241,35 @@ def test_negative_matrix_dimensions_are_input_errors(files, capsys, command,
     assert code == 1
     assert err == "input error: matrix file has a negative dimension\n"
     assert out == ""
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "abc"])
+@pytest.mark.parametrize("command", [
+    ["orbit", "--graph", "{f2}", "--tuple", "a", "--tuple2", "b",
+     "--max-vertices"],
+    ["stab-gens", "--graph", "{f2}", "--tuple", "a", "--max-vertices"],
+    ["matrix-orbit", "--matrix", "{example}", "--matrix2", "{example}",
+     "--max-vertices"],
+    ["matrix-stab", "--matrix", "{example}", "--max-vertices"],
+])
+def test_non_positive_budgets_are_input_errors(files, capsys, command,
+                                               value):
+    argv = [a.format(**files) for a in command] + [value, "--json"]
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert err.startswith("input error: ") and out == ""
+
+
+def test_usage_errors_are_input_errors(files, capsys, tmp_path):
+    aut = tmp_path / "aut.json"
+    aut.write_text(json.dumps(F2_AUT))
+    for argv in (["peak-reduce", "--graph", files["f2"], "--tuple", "a",
+                  "--aut", str(aut), "--max-depth", "0"],
+                 ["no-such-command", "--graph", files["f2"]],
+                 []):
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert err.startswith("input error: ") and out == ""
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0

@@ -2,16 +2,17 @@ import random
 
 import pytest
 
-from raagaut.aut import (Automorphism, GenWhitehead, enumerate_classic_whitehead,
-                         identity_automorphism, laurence_generators,
-                         make_whitehead, mult_tag, permutation_automorphisms,
-                         support, theta, za_basis)
+from raagaut.aut import (Automorphism, GenWhitehead, classic_whitehead,
+                         enumerate_classic_whitehead, identity_automorphism,
+                         is_long_range, laurence_generators, make_whitehead,
+                         mult_tag, permutation_automorphisms, support, theta,
+                         za_basis)
 from raagaut.core import DefiningGraph, class_tuple, parse_word
 from raagaut.errors import InputError
 from raagaut.exactmat import mat_det, mat_identity
-from raagaut.peak import (Factorization, Peak, classic_from_support,
-                          classic_length_change, classic_factor_list,
-                          compose_factors, complement_classic, lower_peak,
+from raagaut.peak import (Factorization, Peak, classic_factor_list,
+                          classic_length_change, compose_factors,
+                          complement_classic, lower_peak,
                           long_range_peak_reduce, omega_factorization,
                           pcount, peak_reduce, shorter_factors,
                           steinberg_conjugate, verify_lowering)
@@ -138,7 +139,7 @@ def test_classic_length_change_identity(f2):
     assert ident.aut.is_identity()
     Wt = class_tuple(f2, [W("a b")])
     # identity is permutation-tagged; use a trivial classic instead
-    tr = classic_from_support(f2, ("a", 1), set())
+    tr = classic_whitehead(f2, ("a", 1), set())
     assert classic_length_change(f2, tr, Wt) == 0
 
 
@@ -178,6 +179,41 @@ def test_classic_length_change_exhaustive_short(f2):
             for wh in moves:
                 direct = Wt.length - wh.aut.apply_to_tuple(Wt).length
                 assert classic_length_change(f2, wh, Wt) == direct
+
+
+def test_classic_records_rebuild_their_moves(f2, k3, split, path4, nodom6):
+    """Every classic record, of a move and of its inverse, rebuilds the move
+    through ``classic_whitehead``, and the counting bracket of an inverted
+    long-range move is its length change."""
+    rng = random.Random(37)
+    for g in (f2, k3, split, path4, nodom6):
+        moves = [wh for wh in enumerate_classic_whitehead(g)
+                 + enumerate_classic_whitehead(g, long_range_only=True)
+                 + laurence_generators(g) if wh.classic is not None]
+        assert moves
+        for wh in moves:
+            for x in (wh, wh.invert()):
+                assert classic_whitehead(g, *x.classic).aut == x.aut
+        long_range = [wh for wh in moves if is_long_range(wh)]
+        if not long_range:      # k3 is complete: no move is long-range
+            continue
+        for _ in range(60):
+            wh = rng.choice(long_range)
+            Wt = random_tuple(g, rng, maxlen=6)
+            direct = Wt.length - wh.aut.invert().apply_to_tuple(Wt).length
+            assert classic_length_change(g, wh.invert(), Wt) == direct
+
+
+def test_classic_length_change_rejects_short_range_moves(k3, path4):
+    for g in (k3, path4):
+        short = [wh for wh in enumerate_classic_whitehead(g)
+                 + laurence_generators(g)
+                 if wh.classic is not None and not is_long_range(wh)]
+        assert short
+        Wt = class_tuple(g, [W("a b c")])
+        for wh in short:
+            with pytest.raises(InputError):
+                classic_length_change(g, wh, Wt)
 
 
 # -- Steinberg relations ------------------------------------------------------
@@ -250,7 +286,7 @@ def test_steinberg_length_law(path4, split):
 # -- complements and shorter factors ------------------------------------------
 
 def test_complement_classic(f2):
-    tr = classic_from_support(f2, ("a", 1), {("b", 1)})
+    tr = classic_whitehead(f2, ("a", 1), {("b", 1)})
     comp = complement_classic(f2, tr)
     assert comp.classic[0] == ("a", -1)
     assert comp.classic[1] == {("b", -1)}
@@ -260,8 +296,8 @@ def test_complement_classic(f2):
 
 def test_shorter_factors_disjoint_gives_trivial_alpha1(path4):
     # c dominates a non-adjacently on the path graph
-    alpha = classic_from_support(path4, ("a", 1), set())
-    beta = classic_from_support(path4, ("c", 1), {("a", 1)})
+    alpha = classic_whitehead(path4, ("a", 1), set())
+    beta = classic_whitehead(path4, ("c", 1), {("a", 1)})
     Wt = class_tuple(path4, [W("a d a c")])
     alpha1, beta1 = shorter_factors(path4, Wt, alpha, beta)
     assert alpha1.aut.is_identity()

@@ -128,3 +128,32 @@ def test_one_schreier_lemma_and_one_relator_check():
     assert len(tree_edges) == 1 and tree_edges[0].startswith("linalg.py:"), \
         "non-tree edge sets built at %s" % tree_edges
     assert not evaluators, "words evaluated outside linalg: %s" % evaluators
+
+
+def _unread_locals(tree):
+    """(function, name) for each single-name assignment ``name = ...`` in a
+    function that the function, nested definitions included, never reads."""
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = list(ast.walk(func))
+        read = {n.id for n in nodes
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        shared = {name for n in nodes
+                  if isinstance(n, (ast.Global, ast.Nonlocal))
+                  for name in n.names}
+        found |= {(func.name, n.targets[0].id) for n in nodes
+                  if isinstance(n, ast.Assign) and len(n.targets) == 1
+                  and isinstance(n.targets[0], ast.Name)
+                  and n.targets[0].id not in read | shared}
+    return found
+
+
+def test_no_unread_local_assignments():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += ["%s: %s.%s" % (path.name, func, name)
+                  for func, name in sorted(_unread_locals(tree))]
+    assert not found, "locals assigned and never read: %s" % found
