@@ -17,11 +17,9 @@ loops include the symmetries that fix each representative.
 
 from __future__ import annotations
 
-from .aut import (Automorphism, GenWhitehead, MultTag, PermTag,
-                  conjugation_by, conjugation_letter_factors,
+from .aut import (Automorphism, conjugation_by, conjugation_letter_factors,
                   enumerate_classic_whitehead, identity_automorphism,
-                  is_long_range, mult_tag, permutation_automorphisms, support,
-                  za_basis)
+                  is_long_range, permutation_automorphisms, support, za_basis)
 from .core import ClassTuple, canonical_class, reduce_word
 from .errors import BudgetError, InputError
 from .linalg import LabeledGraph, Presentation, g1_orbit_decide
@@ -416,9 +414,9 @@ def build_Z(g, W_min: ClassTuple, max_vertices=60, max_schreier=None):
                     if steps:
                         cells.append(("C1", src, steps))
 
-    def loop_word_for(src, a, wh):
+    def loop_word_for(src, a, aut):
         ctx, table = contexts[(src, a)]
-        return [(table[nm], sgn > 0) for nm, sgn in ctx.rewrite(wh)]
+        return [(table[nm], sgn > 0) for nm, sgn in ctx.rewrite(aut)]
 
     def edge_of(src, aut):
         return edge_by_key.get((src, aut.key()))
@@ -426,7 +424,7 @@ def build_Z(g, W_min: ClassTuple, max_vertices=60, max_schreier=None):
     # C2: non-classic long-range edges against classic factorizations
     classic_keys = {w.aut.key() for w in classics + perms}
     for idx, (src, dst, name, wh) in enumerate(list(graph.edges)):
-        if not isinstance(wh.tag, MultTag):
+        if wh.vertex is None:
             continue
         if wh.aut.key() in classic_keys or not is_long_range(wh):
             continue
@@ -492,17 +490,13 @@ def build_Z(g, W_min: ClassTuple, max_vertices=60, max_schreier=None):
 
     # C4: conjugating inner classic loops across edges; the conjugate of a
     # letter conjugation is conjugation by the letter's image
-    inner_classics = []
-    for v in g.vertices:
-        for s in (1, -1):
-            aut = conjugation_by(g, ((v, s),))
-            inner_classics.append(((v, s), GenWhitehead(
-                aut, mult_tag(g, v), _skip_check=True)))
+    inner_classics = [((v, s), conjugation_by(g, ((v, s),)))
+                      for v in g.vertices for s in (1, -1)]
     for idx, (src, dst, name, wh) in enumerate(list(graph.edges)):
-        if not isinstance(wh.tag, MultTag):
+        if wh.vertex is None:
             continue
         for letter, beta in inner_classics:
-            bloop = edge_of(src, beta.aut)
+            bloop = edge_of(src, beta)
             if bloop is None:
                 continue
             wit = reduce_word(g, wh.aut.apply_to_word((letter,)))
@@ -521,27 +515,26 @@ def build_Z(g, W_min: ClassTuple, max_vertices=60, max_schreier=None):
 
     # C5: same-class triangles against stabilizer loops
     for e1, (s1, d1, _, w1) in enumerate(graph.edges):
-        if not isinstance(w1.tag, MultTag):
+        if w1.vertex is None:
             continue
-        a = w1.tag.vertex
+        a = w1.vertex
+        cls = g.adjdom_class(a)
         for e2 in graph.out[d1].values():
             _, d2, _, w2 = graph.edges[e2]
-            if not isinstance(w2.tag, MultTag) or w2.tag.cls != w1.tag.cls:
+            if w2.vertex is None or g.adjdom_class(w2.vertex) != cls:
                 continue
             for e3 in graph.out[d2].values():
                 _, d3, _, w3 = graph.edges[e3]
-                if d3 != s1 or not isinstance(w3.tag, MultTag) \
-                        or w3.tag.cls != w1.tag.cls:
+                if not _lands_in(graph.edges[e3], s1, cls):
                     continue
                 if len({s1, d1, d2}) < 2:
                     continue
                 comp = w3.aut.compose(w2.aut).compose(w1.aut)
-                gw = GenWhitehead(comp, mult_tag(g, a), _skip_check=True)
-                if gw.aut.apply_to_tuple(graph.payloads[s1]) != \
+                if comp.apply_to_tuple(graph.payloads[s1]) != \
                         graph.payloads[s1]:
                     continue
                 try:
-                    word = loop_word_for(s1, _rep_of(g, a), gw)
+                    word = loop_word_for(s1, _rep_of(g, a), comp)
                 except InputError:
                     continue
                 steps = [(e1, True), (e2, True), (e3, True)]
@@ -550,13 +543,13 @@ def build_Z(g, W_min: ClassTuple, max_vertices=60, max_schreier=None):
 
     # C6: permutation conjugation squares closed by stabilizer loops
     for ep, (sp, dp, _, wp) in enumerate(graph.edges):
-        if not isinstance(wp.tag, PermTag):
+        if wp.vertex is not None:
             continue
         for eb in graph.out[sp].values():
             _, db, _, wb = graph.edges[eb]
-            if not isinstance(wb.tag, MultTag):
+            if wb.vertex is None:
                 continue
-            b = wb.tag.vertex
+            b = wb.vertex
             bimg = wp.aut.images[b][0][0]
             target = wp.aut.apply_to_tuple(graph.payloads[db])
             if target not in graph.vindex:
@@ -564,19 +557,17 @@ def build_Z(g, W_min: ClassTuple, max_vertices=60, max_schreier=None):
             tgt = graph.vindex[target]
             # an edge labeled in the image multiplier class from pW1 to pbW1
             for eg in graph.out[dp].values():
-                _, dg, _, wg = graph.edges[eg]
-                if dg != tgt or not isinstance(wg.tag, MultTag):
+                if not _lands_in(graph.edges[eg], tgt,
+                                 g.adjdom_class(bimg)):
                     continue
-                if wg.tag.cls != g.adjdom_class(bimg):
-                    continue
+                wg = graph.edges[eg][3]
                 diff = wp.aut.compose(wb.aut.invert()).compose(
                     wp.aut.invert()).compose(wg.aut)
-                gw = GenWhitehead(diff, mult_tag(g, bimg), _skip_check=True)
-                if not gw.aut.apply_to_tuple(graph.payloads[dp]) == \
+                if not diff.apply_to_tuple(graph.payloads[dp]) == \
                         graph.payloads[dp]:
                     continue
                 try:
-                    word = loop_word_for(dp, _rep_of(g, bimg), gw)
+                    word = loop_word_for(dp, _rep_of(g, bimg), diff)
                 except InputError:
                     continue
                 steps = [(ep, False), (eb, True), (ep, True), (eg, False)]
@@ -586,21 +577,22 @@ def build_Z(g, W_min: ClassTuple, max_vertices=60, max_schreier=None):
 
     # C7: Steinberg squares closed by stabilizer loops
     for ea, (sa_, da_, _, wa) in enumerate(graph.edges):
-        if not isinstance(wa.tag, MultTag):
+        if wa.vertex is None:
             continue
+        a = wa.vertex
         for eb in graph.out[sa_].values():
             _, db, _, wb = graph.edges[eb]
-            if eb == ea or not isinstance(wb.tag, MultTag):
+            if eb == ea or wb.vertex is None:
                 continue
-            if wa.tag.cls == wb.tag.cls:
+            b = wb.vertex
+            if g.adjdom_class(a) == g.adjdom_class(b):
                 continue
-            a, b = wa.tag.vertex, wb.tag.vertex
-            if not fixes_class_pointwise(wa, wb.tag.cls):
+            if not fixes_class_pointwise(wa, g.adjdom_class(b)):
                 continue
             if not g.adjacent(a, b):
                 if support(wa) & support(wb):
                     continue
-                if not fixes_class_pointwise(wb, wa.tag.cls):
+                if not fixes_class_pointwise(wb, g.adjdom_class(a)):
                     continue
             W1 = sa_
             abW1 = wa.aut.compose(wb.aut).apply_to_tuple(graph.payloads[W1])
@@ -608,9 +600,9 @@ def build_Z(g, W_min: ClassTuple, max_vertices=60, max_schreier=None):
                 continue
             tgt = graph.vindex[abW1]
             gammas = [e for e in graph.out[db].values()
-                      if _lands_in(graph.edges[e], tgt, wa.tag.cls)]
+                      if _lands_in(graph.edges[e], tgt, g.adjdom_class(a))]
             deltas = [e for e in graph.out[da_].values()
-                      if _lands_in(graph.edges[e], tgt, wb.tag.cls)]
+                      if _lands_in(graph.edges[e], tgt, g.adjdom_class(b))]
             if not gammas or not deltas:
                 continue
             eg, ed = gammas[0], deltas[0]
@@ -619,14 +611,12 @@ def build_Z(g, W_min: ClassTuple, max_vertices=60, max_schreier=None):
             u1 = wa.aut.compose(wg.aut.invert())
             u2 = wd.aut.compose(wa.aut).compose(wb.aut.invert()).compose(
                 wa.aut.invert())
-            gw1 = GenWhitehead(u1, mult_tag(g, a), _skip_check=True)
-            gw2 = GenWhitehead(u2, mult_tag(g, b), _skip_check=True)
-            if gw1.aut.apply_to_tuple(abW1) != abW1 or \
-                    gw2.aut.apply_to_tuple(abW1) != abW1:
+            if u1.apply_to_tuple(abW1) != abW1 or \
+                    u2.apply_to_tuple(abW1) != abW1:
                 continue
             try:
-                word1 = loop_word_for(tgt, _rep_of(g, a), gw1)
-                word2 = loop_word_for(tgt, _rep_of(g, b), gw2)
+                word1 = loop_word_for(tgt, _rep_of(g, a), u1)
+                word2 = loop_word_for(tgt, _rep_of(g, b), u2)
             except InputError:
                 continue
             steps = [(eb, True), (eg, True)]
@@ -656,7 +646,8 @@ def _loop_key(loop, inverse):
 def _lands_in(edge, dst, cls):
     """Whether an edge ends at dst with a label in the multiplier class."""
     _, d, _, w = edge
-    return d == dst and isinstance(w.tag, MultTag) and w.tag.cls == cls
+    return d == dst and w.vertex is not None and \
+        w.graph.adjdom_class(w.vertex) == cls
 
 
 def _rep_of(g, a):

@@ -10,7 +10,7 @@ inverting never requires solving anything.
 from __future__ import annotations
 
 import json
-from itertools import permutations, product
+from itertools import product
 from math import prod
 
 from .core import (InputError, Word, canonical_class, format_word,
@@ -147,49 +147,23 @@ def identity_automorphism(g) -> Automorphism:
     return Automorphism(g, ims, dict(ims), _skip_check=True)
 
 
-class PermTag:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "Perm"
-
-
-class MultTag:
-    """Multiplier tag: the automorphism lies in the Whitehead group of [a]."""
-
-    __slots__ = ("vertex", "cls")
-
-    def __init__(self, vertex, cls):
-        self.vertex = vertex
-        self.cls = cls
-
-    def __repr__(self):
-        return "Mult[%s]" % (self.vertex,)
-
-
 class GenWhitehead:
-    """A generalized Whitehead automorphism together with its tag.
+    """A generalized Whitehead automorphism with the multiplier vertex a of
+    the Whitehead group of [a] it lies in, or ``vertex=None`` for a
+    permutation automorphism.
 
     ``classic`` optionally records (multiplier letter, support) when the
     automorphism is a classic Whitehead automorphism (see
-    ``classic_whitehead``).
+    ``classic_whitehead``).  Membership is not checked here:
+    ``make_whitehead`` and ``classic_whitehead`` check it.
     """
 
-    __slots__ = ("aut", "tag", "classic")
+    __slots__ = ("aut", "vertex", "classic")
 
-    def __init__(self, aut, tag, classic=None, _skip_check=False):
+    def __init__(self, aut, vertex=None, classic=None):
         self.aut = aut
-        self.tag = tag
+        self.vertex = vertex
         self.classic = classic
-        if not _skip_check:
-            if isinstance(tag, PermTag):
-                if not aut.is_permutation():
-                    raise InputError("permutation tag on a non-permutation")
-            else:
-                if not is_in_whset(aut, tag.vertex):
-                    raise InputError(
-                        "automorphism is not in the Whitehead group of [%s]"
-                        % tag.vertex)
 
     @property
     def graph(self):
@@ -200,8 +174,7 @@ class GenWhitehead:
         if self.classic is not None:
             m, supp = self.classic
             classic = ((m[0], -m[1]), supp)
-        return GenWhitehead(self.aut.invert(), self.tag, classic,
-                            _skip_check=True)
+        return GenWhitehead(self.aut.invert(), self.vertex, classic)
 
     def __eq__(self, other):
         return isinstance(other, GenWhitehead) and self.aut == other.aut
@@ -210,7 +183,8 @@ class GenWhitehead:
         return hash(self.aut)
 
     def __repr__(self):
-        return "GenWhitehead(%r, %r)" % (self.tag, self.aut)
+        tag = "Perm" if self.vertex is None else "Mult[%s]" % (self.vertex,)
+        return "GenWhitehead(%s, %r)" % (tag, self.aut)
 
 
 def is_in_whset(aut: Automorphism, a) -> bool:
@@ -230,13 +204,17 @@ def is_in_whset(aut: Automorphism, a) -> bool:
     return True
 
 
-def mult_tag(g, a):
-    return MultTag(a, g.adjdom_class(a))
+def checked_whitehead(aut: Automorphism, a, classic=None) -> GenWhitehead:
+    """The element of the Whitehead group of [a]; an input error when the
+    automorphism lies outside it."""
+    if not is_in_whset(aut, a):
+        raise InputError("automorphism is not in the Whitehead group of [%s]"
+                         % a)
+    return GenWhitehead(aut, a, classic)
 
 
 def make_whitehead(g, a, images, inverse_images) -> GenWhitehead:
-    aut = Automorphism(g, images, inverse_images)
-    return GenWhitehead(aut, mult_tag(g, a))
+    return checked_whitehead(Automorphism(g, images, inverse_images), a)
 
 
 def classic_whitehead(g, m, supp, _skip_check=False) -> GenWhitehead:
@@ -253,18 +231,19 @@ def classic_whitehead(g, m, supp, _skip_check=False) -> GenWhitehead:
         ims[v] = (minv,) * left + ((v, 1),) + (m,) * right
         inv[v] = (m,) * left + ((v, 1),) + (minv,) * right
     aut = Automorphism(g, ims, inv, _skip_check=_skip_check)
-    return GenWhitehead(aut, mult_tag(g, m[0]), (m, supp),
-                        _skip_check=_skip_check)
+    if _skip_check:
+        return GenWhitehead(aut, m[0], (m, supp))
+    return checked_whitehead(aut, m[0], (m, supp))
 
 
 def support(wh: GenWhitehead):
-    """Support of a multiplier-tagged generalized Whitehead automorphism,
-    straight from the definition."""
-    if not isinstance(wh.tag, MultTag):
+    """Support of an element of a Whitehead group, straight from the
+    definition."""
+    if wh.vertex is None:
         raise InputError("support is defined for multiplier-tagged elements")
     g = wh.graph
-    a = wh.tag.vertex
-    cls = wh.tag.cls
+    a = wh.vertex
+    cls = g.adjdom_class(a)
     supp = set()
     for b in g.vertices:
         img = wh.aut.images[b]
@@ -329,14 +308,10 @@ def za_dims(g, a):
     return n, len(basis) - n
 
 
-def eta(wh: GenWhitehead):
-    """Matrix of the automorphism on the basis above (columns = images of
-    basis vectors).  Only defined for multiplier tags."""
-    if not isinstance(wh.tag, MultTag):
-        raise InputError("eta is defined for multiplier-tagged elements")
-    g = wh.graph
-    a = wh.tag.vertex
-    cls = wh.tag.cls
+def eta(g, a, aut: Automorphism):
+    """Matrix of an element of the Whitehead group of [a] on the basis above
+    (columns = images of basis vectors)."""
+    cls = g.adjdom_class(a)
     basis = za_basis(g, a)
     n = len(cls)
     dim = len(basis)
@@ -345,16 +320,16 @@ def eta(wh: GenWhitehead):
         col = cols[j]
         kind, payload = b
         if kind == "r" and payload in cls:
-            img = wh.aut.images[payload]
+            img = aut.images[payload]
             for i in range(n):
                 col[i] = sum_exponent(img, basis[i][1])
         elif kind == "r" and payload in g.star(a):
-            img = wh.aut.images[payload]
+            img = aut.images[payload]
             for i in range(n):
                 col[i] = sum_exponent(img, basis[i][1])
             col[j] = 1
         elif kind in ("r", "l"):
-            u, v = split_around(g, cls, wh.aut.images[payload], payload)
+            u, v = split_around(g, cls, aut.images[payload], payload)
             side = v if kind == "r" else u
             for i in range(n):
                 col[i] = sum_exponent(side, basis[i][1])
@@ -362,7 +337,7 @@ def eta(wh: GenWhitehead):
         else:
             comp = payload
             x = min(comp, key=g.index.get)
-            u, v = split_around(g, cls, wh.aut.images[x], x)
+            u, v = split_around(g, cls, aut.images[x], x)
             for i in range(n):
                 col[i] = sum_exponent(v, basis[i][1])
             col[j] = 1
@@ -414,21 +389,19 @@ def theta(g, a, matrix) -> GenWhitehead:
     return make_whitehead(g, a, images_from(matrix), images_from(inv))
 
 
-def inner_witness(wh: GenWhitehead):
-    """If the automorphism is conjugation by a word in the multiplier class,
-    return that word; otherwise None.
+def inner_witness(g, a, aut: Automorphism):
+    """If an element of the Whitehead group of [a] is conjugation by a word
+    in [a], return that word; otherwise None.
 
     Recognized from the matrix: identity top-left block, zero columns on
     adjacent dominated vertices, and a single exponent vector e appearing as
     +e on every r_c and r_Y column and -e on every l_c column.
     """
-    g = wh.graph
-    a = wh.tag.vertex
     basis = za_basis(g, a)
     cls_order = [b for kind, b in basis
                  if kind == "r" and b in g.adjdom_class(a)]
     n = len(cls_order)
-    mat = eta(wh)
+    mat = eta(g, a, aut)
     for i in range(n):
         for j in range(n):
             if mat[i][j] != (1 if i == j else 0):
@@ -466,22 +439,41 @@ def conjugation_letter_factors(g, word):
     factors = []
     for gen, sign in word:
         aut = conjugation_by(g, ((gen, sign),))
-        factors.append(GenWhitehead(aut, mult_tag(g, gen), _skip_check=True))
+        factors.append(GenWhitehead(aut, gen))
     return factors
 
 
 # -- generator enumeration -------------------------------------------------
 
 def graph_symmetries(g):
-    """All adjacency-preserving vertex permutations, by brute force."""
+    """All adjacency-preserving vertex permutations, in the order of
+    ``itertools.permutations`` of the vertex list.
+
+    A backtracking search maps the vertices in declared order, trying the
+    candidates in declared order: an unused vertex of the same degree whose
+    adjacency to the vertices already mapped matches.
+    """
     key = "symmetries"
     if key not in g._cache:
+        vs = g.vertices
         out = []
-        for perm in permutations(g.vertices):
-            pi = dict(zip(g.vertices, perm))
-            if all((pi[v] in g.adj[pi[u]]) == (v in g.adj[u])
-                   for u in g.vertices for v in g.vertices if u != v):
-                out.append(pi)
+        pi = {}
+
+        def extend(i):
+            if i == len(vs):
+                out.append(dict(pi))
+                return
+            u = vs[i]
+            for x in vs:
+                if x in pi.values() or len(g.adj[x]) != len(g.adj[u]):
+                    continue
+                if all((pi[v] in g.adj[x]) == (v in g.adj[u])
+                       for v in vs[:i]):
+                    pi[u] = x
+                    extend(i + 1)
+                    del pi[u]
+
+        extend(0)
         g._cache[key] = out
     return g._cache[key]
 
@@ -502,7 +494,7 @@ def permutation_automorphisms(g, budget=100_000):
                 for v, s in zip(g.vertices, signs):
                     inv[pi[v]] = ((v, s),)
                 aut = Automorphism(g, ims, inv, _skip_check=True)
-                out.append(GenWhitehead(aut, PermTag(), _skip_check=True))
+                out.append(GenWhitehead(aut))
         g._cache[key] = out
     return g._cache[key]
 
@@ -543,12 +535,11 @@ def laurence_generators(g):
                 conj = {(c, s) for c in comp for s in (1, -1)}
                 add(classic_whitehead(g, (a, -1), conj, _skip_check=True))
         for a in g.vertices:
-            add(GenWhitehead(inversion(g, a), PermTag(), _skip_check=True))
+            add(GenWhitehead(inversion(g, a)))
         for pi in graph_symmetries(g):
             ims = {v: ((pi[v], 1),) for v in g.vertices}
             inv = {pi[v]: ((v, 1),) for v in g.vertices}
-            add(GenWhitehead(Automorphism(g, ims, inv, _skip_check=True),
-                             PermTag(), _skip_check=True))
+            add(GenWhitehead(Automorphism(g, ims, inv, _skip_check=True)))
         g._cache[key] = out
     return g._cache[key]
 
@@ -570,7 +561,7 @@ def enumerate_classic_whitehead(g, long_range_only=False, budget=200_000):
     out = []
     seen = set()
     identity = identity_automorphism(g)
-    out.append(GenWhitehead(identity, PermTag(), _skip_check=True))
+    out.append(GenWhitehead(identity))
     seen.add(identity)
     for a in g.vertices:
         # each slot lists the support letters of its alternative actions
@@ -610,35 +601,31 @@ def classify_classic(wh: GenWhitehead):
 
 
 def is_long_range(wh: GenWhitehead) -> bool:
-    """Multiplier-tagged element whose restriction to the star letters is a
-    permutation (always true for permutation tags)."""
-    if isinstance(wh.tag, PermTag):
+    """Element of a Whitehead group whose restriction to the star letters is
+    a permutation (always true for permutation automorphisms)."""
+    if wh.vertex is None:
         return True
-    g = wh.graph
-    a = wh.tag.vertex
-    return all(len(wh.aut.images[b]) == 1 for b in g.star(a))
+    return all(len(wh.aut.images[b]) == 1 for b in wh.graph.star(wh.vertex))
 
 
 def compose_gw(x: GenWhitehead, y: GenWhitehead) -> GenWhitehead:
     """Compose within a common multiplier class (or permutations)."""
     aut = x.aut.compose(y.aut)
-    if isinstance(x.tag, MultTag) and isinstance(y.tag, MultTag) \
-            and x.tag.cls == y.tag.cls:
-        return GenWhitehead(aut, x.tag, _skip_check=True)
-    if isinstance(x.tag, PermTag) and isinstance(y.tag, PermTag):
-        return GenWhitehead(aut, PermTag(), _skip_check=True)
+    if x.vertex is None and y.vertex is None:
+        return GenWhitehead(aut)
+    if x.vertex is not None and y.vertex is not None and \
+            x.graph.adjdom_class(x.vertex) == x.graph.adjdom_class(y.vertex):
+        return GenWhitehead(aut, x.vertex)
     return retag(aut)
 
 
 def retag(aut: Automorphism) -> GenWhitehead:
-    """Attach a valid tag to an automorphism known to lie in Omega."""
+    """The element of Omega an automorphism is: a permutation automorphism,
+    or else an element of the Whitehead group of the first vertex whose group
+    contains it."""
     if aut.is_permutation():
-        return GenWhitehead(aut, PermTag(), _skip_check=True)
+        return GenWhitehead(aut)
     for a in aut.graph.vertices:
         if is_in_whset(aut, a):
-            return GenWhitehead(aut, mult_tag(aut.graph, a), _skip_check=True)
+            return GenWhitehead(aut, a)
     raise InputError("automorphism is not a generalized Whitehead element")
-
-
-def apply_gw(wh: GenWhitehead, tup: ClassTuple) -> ClassTuple:
-    return wh.aut.apply_to_tuple(tup)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .apps import (aut_orbit_decide, minimize_tuple, stabilizer_generators,
                    stabilizer_presentation)
-from .aut import Automorphism, apply_gw, identity_automorphism
+from .aut import Automorphism, identity_automorphism
 from .core import (DefiningGraph, canonical_class, format_word, parse_tuple,
                    parse_word, reduce_word)
 from .errors import BudgetError, InputError
@@ -258,7 +258,7 @@ def cmd_wh_orbit(args):
     if wh is None:
         emit(args, {"equivalent": False}, ["no such element"])
         return EXIT_OK
-    if apply_gw(wh, U) != V:
+    if wh.aut.apply_to_tuple(U) != V:
         raise AssertionError("certificate failed re-verification")
     emit(args, {"equivalent": True, "automorphism": wh.aut.to_json()},
          ["equivalent via:", json.dumps(wh.aut.to_json())])
@@ -279,7 +279,7 @@ def cmd_wh_stab(args):
 
     def verify():
         for nm, wh in pres.generators:
-            if apply_gw(wh, U) != U:
+            if wh.aut.apply_to_tuple(U) != U:
                 raise AssertionError("generator failed re-verification")
 
     data = presentation_report(pres, verify)

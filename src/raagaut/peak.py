@@ -19,13 +19,13 @@ every assembled factorization is re-verified before it is returned.
 
 from __future__ import annotations
 
-from .aut import (Automorphism, GenWhitehead, MultTag, PermTag,
+from .aut import (Automorphism, GenWhitehead, checked_whitehead,
                   classic_whitehead, classify_classic, compose_gw,
                   conjugation_by, conjugation_letter_factors,
                   enumerate_classic_whitehead, eta, identity_automorphism,
                   inner_witness, inversion, is_in_whset, is_long_range,
-                  mult_tag, permutation_automorphisms, retag, split_around,
-                  support, theta, za_basis)
+                  permutation_automorphisms, retag, split_around, support,
+                  theta, za_basis)
 from .core import ClassTuple, InputError, inverse_word, reduce_word
 from .errors import BudgetError
 
@@ -188,23 +188,22 @@ def steinberg_conjugate(alpha: GenWhitehead, beta: GenWhitehead
     """alpha beta alpha^-1, validated inside the Whitehead group of beta's
     class, under the Steinberg hypotheses."""
     g = alpha.graph
-    if not isinstance(alpha.tag, MultTag) or not isinstance(beta.tag,
-                                                            MultTag):
+    a, b = alpha.vertex, beta.vertex
+    if a is None or b is None:
         raise InputError("Steinberg conjugation needs multiplier tags")
-    a, b = alpha.tag.vertex, beta.tag.vertex
-    if alpha.tag.cls == beta.tag.cls:
+    if g.adjdom_class(a) == g.adjdom_class(b):
         raise InputError("multiplier classes must differ")
-    if not fixes_class_pointwise(alpha, beta.tag.cls):
+    if not fixes_class_pointwise(alpha, g.adjdom_class(b)):
         raise InputError("alpha must fix the other multiplier class")
     if not g.adjacent(a, b):
         if support(alpha) & support(beta):
             raise InputError("supports must be disjoint when multipliers "
                              "are non-adjacent")
-        if not fixes_class_pointwise(beta, alpha.tag.cls):
+        if not fixes_class_pointwise(beta, g.adjdom_class(a)):
             raise InputError("beta must fix the first multiplier class in "
                              "the non-adjacent case")
     aut = alpha.aut.compose(beta.aut).compose(alpha.aut.invert())
-    return GenWhitehead(aut, mult_tag(g, b))
+    return checked_whitehead(aut, b)
 
 
 # -- classic automorphism constructors ---------------------------------------
@@ -259,13 +258,13 @@ def shorter_factors(g, W: ClassTuple, alpha: GenWhitehead,
 
 # -- factor lists for long-range elements -------------------------------------
 
-def classic_factor_list(wh: GenWhitehead, a=None):
+def classic_factor_list(wh: GenWhitehead):
     """Factor a long-range element of a Whitehead group into classic moves
     with multipliers in its class, with the signed class permutation last."""
-    if isinstance(wh.tag, PermTag):
+    if wh.vertex is None:
         return [] if wh.aut.is_identity() else [wh]
     g = wh.graph
-    a = a if a is not None else wh.tag.vertex
+    a = wh.vertex
     cls = g.adjdom_class(a)
     if not is_long_range(wh):
         raise InputError("element is not long-range")
@@ -279,11 +278,10 @@ def classic_factor_list(wh: GenWhitehead, a=None):
         inv[img[0][0]] = ((v, img[0][1]),)
     p = Automorphism(g, ims, inv)
     pure = p.invert().compose(wh.aut)
-    pure_wh = GenWhitehead(pure, mult_tag(g, a), _skip_check=True)
     basis = za_basis(g, a)
     cls_order = [v for kind, v in basis if kind == "r" and v in cls]
     n = len(cls_order)
-    mat = eta(pure_wh)
+    mat = eta(g, a, pure)
     factors = []
     for j in range(n, len(basis)):
         kind, payload = basis[j]
@@ -306,7 +304,7 @@ def classic_factor_list(wh: GenWhitehead, a=None):
                         {(x, s) for x in payload for s in (1, -1)})
                 factors.append(f)
     if not p.is_identity():
-        factors.append(GenWhitehead(p, PermTag(), _skip_check=True))
+        factors.append(GenWhitehead(p))
     if compose_factors(g, factors) != wh.aut:
         raise AssertionError("classic factor list does not compose back")
     return factors
@@ -323,7 +321,7 @@ def move_universe(g, cls=None, include_perms=True):
         return g._cache[key]
     moves = []
     for wh in enumerate_classic_whitehead(g, long_range_only=True):
-        if wh.aut.is_identity() or wh.classic is None:
+        if wh.aut.is_identity():
             continue
         if cls is None or wh.classic[0][0] in cls:
             moves.append(wh)
@@ -493,22 +491,20 @@ def _dispatch(g, V, alpha, beta):
         return [alpha.invert()]
     if beta.aut == alpha.aut:
         return []
-    a_perm = isinstance(alpha.tag, PermTag)
-    b_perm = isinstance(beta.tag, PermTag)
-    if a_perm and b_perm:
+    a, b = alpha.vertex, beta.vertex
+    if a is None and b is None:
         raise InputError("two permutations cannot form a peak")
-    if a_perm:
+    if a is None:
         return _perm_lower(g, V, alpha, beta)
-    if b_perm:
+    if b is None:
         return invert_lowering(_perm_lower(g, V, beta, alpha))
-    a, b = alpha.tag.vertex, beta.tag.vertex
-    if alpha.tag.cls == beta.tag.cls:
+    if g.adjdom_class(a) == g.adjdom_class(b):
         return [compose_gw(beta, alpha.invert())]
     if g.adjacent(a, b):
-        if fixes_class_pointwise(alpha, beta.tag.cls):
+        if fixes_class_pointwise(alpha, g.adjdom_class(b)):
             gamma = steinberg_conjugate(alpha, beta)
             return [gamma, alpha.invert()]
-        if fixes_class_pointwise(beta, alpha.tag.cls):
+        if fixes_class_pointwise(beta, g.adjdom_class(a)):
             swapped = _dispatch(g, V, beta, alpha)
             return invert_lowering(swapped)
         raise AssertionError("adjacent multipliers with no fixed class")
@@ -535,52 +531,53 @@ def _perm_lower(g, V, alpha, beta):
 
 # -- no domination ------------------------------------------------------------
 
-def _conj_witness(g, cls, aut, v):
-    """The word w with aut(v) = w^-1 v w, for v conjugated within the
-    multiplier class."""
-    u, w = split_around(g, cls, aut.images[v], v)
+def _fix_vertex(g, wh, v):
+    """(w, fixed) for an element of a Whitehead group and a vertex v it
+    conjugates within its class: fixed, wh followed by the inverse of
+    conjugation by w, is the element of the same group that fixes v.  w is
+    empty when wh already fixes v."""
+    img = wh.aut.images[v]
+    if img == ((v, 1),):
+        return (), wh
+    u, w = split_around(g, g.adjdom_class(wh.vertex), img, v)
     if reduce_word(g, u + w):
         raise AssertionError("image of %r is not a conjugate" % (v,))
-    return w
+    fixed = conjugation_by(g, w).invert().compose(wh.aut)
+    return w, GenWhitehead(fixed, wh.vertex)
 
 
-def _zero_column(g, a, wh, col_key):
-    """The element with one basis column's class part removed."""
+def _zero_class_rows(g, a, aut, keys):
+    """The element of the Whitehead group of [a] whose matrix is that of aut
+    with the class rows of the given basis columns set to zero."""
     basis = za_basis(g, a)
     n = len(g.adjdom_class(a))
-    mat = [list(row) for row in eta(GenWhitehead(wh.aut, mult_tag(g, a),
-                                                 _skip_check=True))]
-    j = basis.index(col_key)
-    for i in range(n):
-        mat[i][j] = 0
+    mat = [list(row) for row in eta(g, a, aut)]
+    for key in keys:
+        j = basis.index(key)
+        for i in range(n):
+            mat[i][j] = 0
     return theta(g, a, tuple(tuple(row) for row in mat))
 
 
 def lower_nodom(g, V, alpha, beta):
     """Non-adjacent multipliers, no domination either way."""
-    a, b = alpha.tag.vertex, beta.tag.vertex
+    a, b = alpha.vertex, beta.vertex
     # normalize: alpha fixes b, beta fixes a (inner adjustments)
-    if alpha.aut.images[b] != ((b, 1),):
-        w = _conj_witness(g, alpha.tag.cls, alpha.aut, b)
-        iota = conjugation_by(g, w)
-        alpha1 = GenWhitehead(iota.invert().compose(alpha.aut),
-                              alpha.tag, _skip_check=True)
+    w, alpha1 = _fix_vertex(g, alpha, b)
+    if w:
         F = lower_nodom(g, V, alpha1, beta)
         base = alpha.aut.apply_to_tuple(V)
         return insert_inner(g, F, base, inverse_word(w), side="right")
-    if beta.aut.images[a] != ((a, 1),):
-        w = _conj_witness(g, beta.tag.cls, beta.aut, a)
-        iota = conjugation_by(g, w)
-        beta1 = GenWhitehead(iota.invert().compose(beta.aut), beta.tag,
-                             _skip_check=True)
+    w, beta1 = _fix_vertex(g, beta, a)
+    if w:
         F = lower_nodom(g, V, alpha, beta1)
         base = alpha.aut.apply_to_tuple(V)
         return insert_inner(g, F, base, w, side="left")
     sa, sb = support(alpha), support(beta)
     common = sa & sb
     if not common:
-        if not fixes_class_pointwise(alpha, beta.tag.cls) or \
-                not fixes_class_pointwise(beta, alpha.tag.cls):
+        if not fixes_class_pointwise(alpha, g.adjdom_class(b)) or \
+                not fixes_class_pointwise(beta, g.adjdom_class(a)):
             raise AssertionError("normalized pair still moves a multiplier "
                                  "class")
         if alpha.aut.compose(beta.aut) != beta.aut.compose(alpha.aut):
@@ -593,15 +590,13 @@ def lower_nodom(g, V, alpha, beta):
                 raise AssertionError("intersection letter dominated on one "
                                      "side only")
             key = ("r", c) if letter[1] > 0 else ("l", c)
-            alpha_c = _zero_column(g, a, alpha, key)
-            beta_c = _zero_column(g, b, beta, key)
         else:
-            Y = g.component_of(a, c)
-            if g.component_of(b, c) != Y:
+            key = ("Y", g.component_of(a, c))
+            if g.component_of(b, c) != key[1]:
                 raise AssertionError("component mismatch in the support "
                                      "intersection")
-            alpha_c = _zero_column(g, a, alpha, ("Y", Y))
-            beta_c = _zero_column(g, b, beta, ("Y", Y))
+        alpha_c = _zero_class_rows(g, a, alpha.aut, [key])
+        beta_c = _zero_class_rows(g, b, beta.aut, [key])
         if alpha_c.aut.apply_to_tuple(V).length < V.length:
             F = lower_nodom(g, V, alpha_c, beta)
             step = compose_gw(alpha_c, alpha.invert())
@@ -618,40 +613,34 @@ def lower_nodom(g, V, alpha, beta):
 
 def lower_asymmetric(g, V, alpha, beta):
     """b dominates a non-adjacently, a does not dominate b."""
-    a = alpha.tag.vertex
+    a = alpha.vertex
     if g.adjdom_class(a) != frozenset({a}):
         raise AssertionError("dominated multiplier class is not a "
                              "singleton")
     if not is_long_range(alpha):
         raise AssertionError("dominated-side element is not long-range")
-    facts = classic_factor_list(alpha, a)
+    facts = classic_factor_list(alpha)
     facts = long_range_peak_reduce(g, facts, V, cls=g.adjdom_class(a))
     return _asym_rec(g, V, alpha, facts, beta, 0)
-
-
-def _is_inner_gw(g, a, wh):
-    return inner_witness(GenWhitehead(wh.aut, mult_tag(g, a),
-                                      _skip_check=True)) is not None
 
 
 def _asym_rec(g, V, alpha, facts, beta, depth):
     if depth > ASYM_LOOP_BUDGET:
         raise BudgetError("asymmetric recursion budget exceeded")
-    a = alpha.tag.vertex
-    b = beta.tag.vertex
+    a = alpha.vertex
+    b = beta.vertex
     facts = [f for f in facts if not f.aut.is_identity()]
     if not facts:
         return [beta]
     # peel a leading run of inner factors in one step
-    if isinstance(facts[0].tag, MultTag) and _is_inner_gw(g, a, facts[0]):
-        i = 0
-        while i < len(facts) and isinstance(facts[i].tag, MultTag) and \
-                _is_inner_gw(g, a, facts[i]):
-            i += 1
+    i = 0
+    while i < len(facts) and facts[i].vertex is not None and \
+            inner_witness(g, a, facts[i].aut) is not None:
+        i += 1
+    if i:
         inner_part = compose_factors(g, facts[:i])
         rest = facts[i:]
-        witness = inner_witness(GenWhitehead(inner_part, mult_tag(g, a),
-                                             _skip_check=True))
+        witness = inner_witness(g, a, inner_part)
         if not rest:
             # alpha is inner: beta*alpha^-1 = (beta iota^-1 beta^-1) beta
             if beta.aut.apply_to_tuple(V).length >= V.length:
@@ -660,29 +649,24 @@ def _asym_rec(g, V, alpha, facts, beta, depth):
             conj = beta.aut.apply_to_word(inverse_word(witness))
             inner = conjugation_letter_factors(g, reduce_word(g, conj))
             return [beta] + inner
-        alpha_red = GenWhitehead(compose_factors(g, rest), alpha.tag,
-                                 _skip_check=True)
+        alpha_red = GenWhitehead(compose_factors(g, rest), a)
         F = _asym_rec(g, V, alpha_red, rest, beta, depth + 1)
         conj = beta.aut.apply_to_word(inverse_word(witness))
         base = alpha_red.aut.apply_to_tuple(V)
         return insert_inner(g, F, base, reduce_word(g, conj), side="left")
     # normalize alpha to fix b
-    if alpha.aut.images[b] != ((b, 1),):
-        w = _conj_witness(g, alpha.tag.cls, alpha.aut, b)
-        iota_inv = conjugation_by(g, w).invert()
-        alpha = GenWhitehead(iota_inv.compose(alpha.aut), alpha.tag,
-                             _skip_check=True)
+    w, fixed = _fix_vertex(g, alpha, b)
+    if w:
         facts = list(facts) + conjugation_letter_factors(
             g, inverse_word(w))
         # the appended inner letters multiply the composition by iota^-1 on
         # the left, matching the new alpha; lowering of the new pair is a
         # lowering of the old one after one exact inner insertion
-        F = _asym_rec(g, V, alpha, facts, beta, depth + 1)
-        base = alpha.aut.apply_to_tuple(V)
+        F = _asym_rec(g, V, fixed, facts, beta, depth + 1)
+        base = fixed.aut.apply_to_tuple(V)
         return insert_inner(g, F, base, inverse_word(w), side="right")
     alpha1 = facts[0]
-    alpha2 = GenWhitehead(alpha.aut.compose(alpha1.aut.invert()),
-                          alpha.tag, _skip_check=True)
+    alpha2 = GenWhitehead(alpha.aut.compose(alpha1.aut.invert()), a)
     rest = facts[1:]
     la1 = alpha1.aut.apply_to_tuple(V).length
     if la1 < V.length:
@@ -698,42 +682,33 @@ def _asym_rec(g, V, alpha, facts, beta, depth):
     rest1 = F1[1:]
     aV = alpha.aut.apply_to_tuple(V)
     a1V = alpha1.aut.apply_to_tuple(V)
-    if isinstance(delta1.tag, MultTag) and \
+    if delta1.vertex is not None and \
             is_in_whset(delta1.aut, a) and is_long_range(delta1):
-        delta1 = GenWhitehead(delta1.aut, mult_tag(g, a), _skip_check=True)
-        psi = GenWhitehead(delta1.aut.compose(alpha2.aut.invert()),
-                           mult_tag(g, a), _skip_check=True)
-        G = long_range_peak_reduce(g, classic_factor_list(psi, a), aV,
+        psi = GenWhitehead(delta1.aut.compose(alpha2.aut.invert()), a)
+        G = long_range_peak_reduce(g, classic_factor_list(psi), aV,
                                    cls=g.adjdom_class(a))
         return G + rest1
-    F2 = _asym_rec(g, a1V, alpha2, rest, _as_whb(g, b, delta1), depth + 1)
-    return F2 + rest1
-
-
-def _as_whb(g, b, wh):
-    if not is_in_whset(wh.aut, b):
+    # delta1 may be recorded as a permutation or under another vertex of
+    # [b]; the recursion reads the group of [b] off the vertex b
+    if not is_in_whset(delta1.aut, b):
         raise AssertionError("factor is not in the expected Whitehead "
                              "group")
-    out = GenWhitehead(wh.aut, mult_tag(g, b), _skip_check=True)
-    out.classic = wh.classic
-    return out
+    beta1 = GenWhitehead(delta1.aut, b, delta1.classic)
+    F2 = _asym_rec(g, a1V, alpha2, rest, beta1, depth + 1)
+    return F2 + rest1
 
 
 def _asym_leaf(g, V, alpha1, beta):
     """Lowering of (V, alpha1, beta) for alpha1 a single classic move or a
     permutation."""
-    if isinstance(alpha1.tag, PermTag):
+    if alpha1.vertex is None:
         return _perm_lower(g, V, alpha1, beta)
-    b = beta.tag.vertex
-    if alpha1.aut.images[b] != ((b, 1),):
-        w = _conj_witness(g, alpha1.tag.cls, alpha1.aut, b)
-        iota_inv = conjugation_by(g, w).invert()
-        fixed = GenWhitehead(iota_inv.compose(alpha1.aut), alpha1.tag,
-                             _skip_check=True)
-        F = _asym_base_loop(g, V, fixed, beta)
-        base = fixed.aut.apply_to_tuple(V)
-        return insert_inner(g, F, base, inverse_word(w), side="right")
-    return _asym_base_loop(g, V, alpha1, beta)
+    w, fixed = _fix_vertex(g, alpha1, beta.vertex)
+    F = _asym_base_loop(g, V, fixed, beta)
+    if not w:
+        return F
+    base = fixed.aut.apply_to_tuple(V)
+    return insert_inner(g, F, base, inverse_word(w), side="right")
 
 
 def _classic_info(wh):
@@ -746,46 +721,30 @@ def _classic_info(wh):
 def _asym_base_loop(g, V, alpha, beta):
     """The iterative loop for a classic alpha (multiplier a^eps) fixing the
     dominating class, against a general beta."""
-    a = alpha.tag.vertex
-    b = beta.tag.vertex
+    a = alpha.vertex
+    b = beta.vertex
     m, sa = _classic_info(alpha)
     if m[1] < 0:
         # mirror through the inversion of a and recurse once
         rho = inversion(g, a)
-        alpha_m = GenWhitehead(rho.compose(alpha.aut).compose(rho),
-                               alpha.tag, _skip_check=True)
-        beta_m = GenWhitehead(rho.compose(beta.aut).compose(rho), beta.tag,
-                              _skip_check=True)
+        alpha_m = GenWhitehead(rho.compose(alpha.aut).compose(rho), a)
+        beta_m = GenWhitehead(rho.compose(beta.aut).compose(rho), b)
         Vm = rho.apply_to_tuple(V)
         F = _asym_base_loop(g, Vm, alpha_m, beta_m)
-        out = []
-        for f in F:
-            aut = rho.compose(f.aut).compose(rho)
-            out.append(GenWhitehead(aut, f.tag, _skip_check=True))
-        return out
+        return [GenWhitehead(rho.compose(f.aut).compose(rho), f.vertex)
+                for f in F]
 
     # split beta into long-range and short-range parts through the matrix
-    basis = za_basis(g, b)
-    nb = len(g.adjdom_class(b))
-    mat = [list(row) for row in
-           eta(GenWhitehead(beta.aut, mult_tag(g, b), _skip_check=True))]
-    mat_s = [row[:] for row in mat]
-    for j in range(nb, len(basis)):
-        kind, payload = basis[j]
-        adjacent_dom = kind == "r" and payload in g.star(b)
-        if not adjacent_dom:
-            for i in range(nb):
-                mat_s[i][j] = 0
-    beta_s = theta(g, b, tuple(tuple(r) for r in mat_s))
-    beta_l = GenWhitehead(beta.aut.compose(beta_s.aut.invert()),
-                          mult_tag(g, b), _skip_check=True)
+    long_cols = [key for key in za_basis(g, b)[len(g.adjdom_class(b)):]
+                 if not (key[0] == "r" and key[1] in g.star(b))]
+    beta_s = _zero_class_rows(g, b, beta.aut, long_cols)
+    beta_l = GenWhitehead(beta.aut.compose(beta_s.aut.invert()), b)
     if any(len(beta_l.aut.images[x]) != 1 for x in g.star(b)):
         raise AssertionError("long-range part still moves the star")
     if alpha.aut.compose(beta_s.aut) != beta_s.aut.compose(alpha.aut):
         raise AssertionError("short-range part does not commute")
 
-    wit0 = inner_witness(GenWhitehead(beta_l.aut, mult_tag(g, b),
-                                      _skip_check=True))
+    wit0 = inner_witness(g, b, beta_l.aut)
     if wit0 is not None:
         # beta is inner * short-range: beta alpha^-1 equals
         # alpha^-1 (alpha iota alpha^-1) beta_s, whose intermediates stay
@@ -798,8 +757,7 @@ def _asym_base_loop(g, V, alpha, beta):
     alpha_p = alpha
     beta_p = beta_l
     beta_pp = beta_s
-    alpha_pp = GenWhitehead(identity_automorphism(g), mult_tag(g, a),
-                            _skip_check=True)
+    alpha_pp = GenWhitehead(identity_automorphism(g), a)
     state = {"W1": W1, "beta_p": beta_p, "beta_pp": beta_pp}
 
     def conjugate_into_b(delta):
@@ -809,10 +767,9 @@ def _asym_base_loop(g, V, alpha, beta):
         preserves the loop's product exactly and keeps the loop's peak
         invariant: the length drop of alpha' is carried over unchanged."""
         aut = alpha_p.aut.compose(delta.aut).compose(alpha_p.aut.invert())
-        try:
-            gamma = GenWhitehead(aut, mult_tag(g, b))
-        except InputError:
+        if not is_in_whset(aut, b):
             return None
+        gamma = GenWhitehead(aut, b)
         W1 = state["W1"]
         lhs = W1.length - delta.aut.apply_to_tuple(W1).length
         rhs = alpha_p.aut.apply_to_tuple(W1).length - \
@@ -823,8 +780,7 @@ def _asym_base_loop(g, V, alpha, beta):
 
     def merge(delta, gamma):
         state["beta_p"] = GenWhitehead(
-            state["beta_p"].aut.compose(delta.aut.invert()),
-            mult_tag(g, b), _skip_check=True)
+            state["beta_p"].aut.compose(delta.aut.invert()), b)
         state["beta_pp"] = compose_gw(gamma, state["beta_pp"])
         state["W1"] = delta.aut.apply_to_tuple(state["W1"])
 
@@ -837,11 +793,11 @@ def _asym_base_loop(g, V, alpha, beta):
         W1 = state["W1"]
         beta_p = state["beta_p"]
         beta_pp = state["beta_pp"]
-        if _is_inner_gw(g, b, beta_p):
+        if inner_witness(g, b, beta_p.aut) is not None:
             raise AssertionError("inner remainder at full height")
         if bfacts is None:
             bfacts = long_range_peak_reduce(
-                g, classic_factor_list(beta_p, b), W1,
+                g, classic_factor_list(beta_p), W1,
                 cls=g.adjdom_class(b), include_perms=False)
         beta0 = bfacts[0]
         m0, s0 = _classic_info(beta0)
@@ -895,8 +851,7 @@ def _asym_base_loop(g, V, alpha, beta):
             if K.compose(beta_pp.aut) != beta_pp.aut.compose(K):
                 raise AssertionError("leftover does not commute with the "
                                      "short part")
-            alpha_pp = GenWhitehead(alpha_pp.aut.compose(K),
-                                    mult_tag(g, a), _skip_check=True)
+            alpha_pp = GenWhitehead(alpha_pp.aut.compose(K), a)
             alpha_p = alpha1
             continue
         raise BudgetError("no admissible shorter-factor replacement")
@@ -920,13 +875,11 @@ def _asym_base_loop(g, V, alpha, beta):
 def omega_factorization(g, aut: Automorphism):
     """A one-element factorization when the automorphism is itself a
     generalized Whitehead element."""
-    if aut.is_permutation():
-        return [GenWhitehead(aut, PermTag(), _skip_check=True)]
-    for v in g.vertices:
-        if is_in_whset(aut, v):
-            return [GenWhitehead(aut, mult_tag(g, v), _skip_check=True)]
-    raise InputError("automorphism is not a single generalized Whitehead "
-                     "element; supply a factorization")
+    try:
+        return [retag(aut)]
+    except InputError:
+        raise InputError("automorphism is not a single generalized Whitehead "
+                         "element; supply a factorization") from None
 
 
 def peak_reduce(g, factors, W: ClassTuple, budget=REWRITE_BUDGET

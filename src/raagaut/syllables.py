@@ -200,16 +200,21 @@ def nu_matrix(d: Decomposition):
     return tuple(tuple(col[i] for col in cols) for i in range(dim))
 
 
+def _eta_on(wh: GenWhitehead, d: Decomposition):
+    """The matrix of an element of the multiplier group of a
+    decomposition."""
+    if wh.vertex not in d.graph.adjdom_class(d.vertex):
+        raise InputError("automorphism is not in the multiplier group "
+                         "of this decomposition")
+    return eta(d.graph, d.vertex, wh.aut)
+
+
 def act_on_decomposition(wh: GenWhitehead, d: Decomposition) -> Decomposition:
     """Exponent substitution along the matrix action; the result decomposes
     the image tuple."""
     g = d.graph
     a = d.vertex
-    if not hasattr(wh.tag, "vertex") or \
-            wh.tag.vertex not in g.adjdom_class(a):
-        raise InputError("automorphism is not in the multiplier group "
-                         "of this decomposition")
-    mat = eta(wh)
+    mat = _eta_on(wh, d)
     n = len(g.adjdom_class(a))
     new = []
     for s in d.syllables:
@@ -229,7 +234,7 @@ def length_delta(wh: GenWhitehead, d: Decomposition) -> int:
     """Length change of the underlying tuple, summed per syllable."""
     g = d.graph
     a = d.vertex
-    mat = eta(wh)
+    mat = _eta_on(wh, d)
     n = len(g.adjdom_class(a))
     delta = 0
     for s in d.syllables:

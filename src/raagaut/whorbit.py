@@ -10,8 +10,8 @@ restriction demands it).
 
 from __future__ import annotations
 
-from .aut import (GenWhitehead, apply_gw, compose_gw, eta,
-                  identity_automorphism, mult_tag, support, theta, za_basis)
+from .aut import (Automorphism, GenWhitehead, compose_gw, eta,
+                  identity_automorphism, support, theta, za_basis)
 from .core import ClassTuple, InputError, parse_word
 from .exactmat import mat_mul
 from .linalg import (BlockMatrix, LabeledGraph, Presentation,
@@ -106,7 +106,7 @@ def wh_orbit_decide(g, a, S, U: ClassTuple, V: ClassTuple,
         if cert.witness is None:
             continue
         wh = theta_of_block(g, a, cert.witness)
-        if apply_gw(wh, U) != V:
+        if wh.aut.apply_to_tuple(U) != V:
             raise AssertionError("orbit witness does not map U to V")
         if S and support(wh) & S:
             raise AssertionError("orbit witness violates the support "
@@ -166,7 +166,7 @@ def wh_stabilizer_presentation(g, a, S, U: ClassTuple, max_vertices=None,
         graph.add_vertex(v)
     labelled = list(s1) + s2
     for name, wh in labelled:
-        mat = _eta_at(g, a, wh)
+        mat = eta(g, a, wh.aut)
         for v in vertices:
             img = mat_mul(mat, v)
             if img not in graph.vindex:
@@ -176,17 +176,16 @@ def wh_stabilizer_presentation(g, a, S, U: ClassTuple, max_vertices=None,
     base = graph.vindex[nu1]
 
     def rewriter(elem: GenWhitehead):
-        return mctx.rewrite(_block_of(g, a, elem, n, k))
+        return mctx.rewrite(_block_of(g, a, elem.aut, n, k))
 
-    ident = GenWhitehead(identity_automorphism(g), mult_tag(g, a),
-                         _skip_check=True)
+    ident = GenWhitehead(identity_automorphism(g), a)
     pres = presentation_from_finite_index(
         Presentation(s2, pres_matrix.relators), s1, graph, base, rewriter,
         compose_gw, GenWhitehead.invert, ident)
     ctx = WhStabCtx(g=g, a=a, mctx=mctx, n=n, k=k, transversal=transversal,
                     vertices=vertices)
     for name, wh in pres.generators:
-        if apply_gw(wh, U) != U:
+        if wh.aut.apply_to_tuple(U) != U:
             raise AssertionError("stabilizer generator moves U")
         if S and support(wh) & S:
             raise AssertionError("stabilizer generator violates the support "
@@ -202,24 +201,23 @@ class WhStabCtx:
         for key, val in kw.items():
             setattr(self, key, val)
 
-    def rewrite(self, wh: GenWhitehead):
-        """Word over the presentation's generators for a stabilizer element:
-        move to the base vertex with a transversal letter, then rewrite the
-        matrix-stabilizer part."""
+    def rewrite(self, aut: Automorphism):
+        """Word over the presentation's generators for a stabilizer element
+        of the Whitehead group of [a]: move to the base vertex with a
+        transversal letter, then rewrite the matrix-stabilizer part."""
         g, a = self.g, self.a
-        mat = _eta_at(g, a, wh)
+        mat = eta(g, a, aut)
         key = mat_mul(mat, self.vertices[0])
         tnames = {v: "t%d" % i for i, v in enumerate(self.vertices[1:])}
         if key == self.vertices[0]:
             head = ()
-            rest = wh
+            rest = aut
         else:
             if key not in self.transversal:
                 raise InputError("element does not stabilize the tuple")
             t = self.transversal[key]
             head = ((tnames[key], 1),)
-            tinv = theta_of_block(g, a, t).invert()
-            rest = compose_gw(tinv, wh)
+            rest = theta_of_block(g, a, t).aut.invert().compose(aut)
         return head + self.mctx.rewrite(_block_of(g, a, rest, self.n,
                                                   self.k))
 
@@ -231,14 +229,8 @@ def theta_of_block(g, a, block):
     return theta(g, a, mat)
 
 
-def _eta_at(g, a, wh: GenWhitehead):
-    """Matrix of the element with respect to the basis at ``a``, regardless
-    of how the element happens to be tagged."""
-    return eta(GenWhitehead(wh.aut, mult_tag(g, a), _skip_check=True))
-
-
-def _block_of(g, a, wh: GenWhitehead, n, k):
-    mat = _eta_at(g, a, wh)
+def _block_of(g, a, aut: Automorphism, n, k):
+    mat = eta(g, a, aut)
     A = [[mat[i][j] for j in range(n)] for i in range(n)]
     B = [[mat[i][j] for j in range(n, n + k)] for i in range(n)]
     return BlockMatrix(n, k, A, B)

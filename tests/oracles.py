@@ -10,12 +10,26 @@ representatives and for the minimizing sweep, not for the parts they call.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 from raagaut.apps import wh_reachable
 from raagaut.aut import identity_automorphism, permutation_automorphisms
 from raagaut.core import enumerate_tuples
 from raagaut.whorbit import wh_orbit_decide, wh_stabilizer_presentation
+
+
+# -- graph symmetries -----------------------------------------------------------
+
+def brute_force_symmetries(g):
+    """Every adjacency-preserving vertex permutation, by trying all n! of
+    them in the order of ``itertools.permutations``."""
+    out = []
+    for perm in permutations(g.vertices):
+        pi = dict(zip(g.vertices, perm))
+        if all((pi[v] in g.adj[pi[u]]) == (v in g.adj[u])
+               for u in g.vertices for v in g.vertices if u != v):
+            out.append(pi)
+    return out
 
 
 # -- free group cyclic words --------------------------------------------------

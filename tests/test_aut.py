@@ -2,16 +2,18 @@ import random
 
 import pytest
 
-from raagaut.aut import (Automorphism, GenWhitehead, MultTag, PermTag,
+from raagaut.aut import (Automorphism, GenWhitehead, classic_whitehead,
                          enumerate_classic_whitehead, eta, graph_symmetries,
                          identity_automorphism, inner_witness, is_in_whset,
                          is_long_range, laurence_generators, make_whitehead,
-                         mult_tag, permutation_automorphisms, support, theta,
+                         permutation_automorphisms, support, theta,
                          za_basis, za_dims, conjugation_by,
                          conjugation_letter_factors)
-from raagaut.core import class_tuple, inverse_word, parse_word
+from raagaut.core import DefiningGraph, class_tuple, inverse_word, parse_word
 from raagaut.errors import InputError
 from raagaut.exactmat import mat_mul, mat_identity, mat_det
+
+from .oracles import brute_force_symmetries
 
 W = parse_word
 
@@ -121,10 +123,31 @@ def test_permutation_automorphisms(f2, split):
         assert w.aut.is_permutation()
 
 
+def test_graph_symmetries_match_brute_force(f2, k3, split, path4, nodom6):
+    """Same permutations in the same order: the orbit map of the orbit graph
+    follows the order of P."""
+    rng = random.Random(17)
+    graphs = [f2, k3, split, path4, nodom6]
+    for _ in range(60):
+        vs = ["v%d" % i for i in range(rng.randint(2, 7))]
+        edges = [[u, v] for i, u in enumerate(vs) for v in vs[i + 1:]
+                 if rng.random() < 0.4]
+        rng.shuffle(vs)
+        graphs.append(DefiningGraph(vs, edges))
+    for g in graphs:
+        assert graph_symmetries(g) == brute_force_symmetries(g)
+
+
+def test_graph_symmetries_of_a_long_path():
+    vs = ["v%d" % i for i in range(9)]
+    g = DefiningGraph(vs, [[u, v] for u, v in zip(vs, vs[1:])])
+    assert graph_symmetries(g) == [dict(zip(vs, vs)),
+                                   dict(zip(vs, reversed(vs)))]
+
+
 def test_support_examples(split, path4):
     ident = identity_automorphism(split)
-    assert support(GenWhitehead(ident, mult_tag(split, "a"),
-                                _skip_check=True)) == frozenset()
+    assert support(GenWhitehead(ident, "a")) == frozenset()
     tr = make_whitehead(path4, "c",
                         {"a": W("a c"), "b": W("b"), "c": W("c"),
                          "d": W("d")},
@@ -162,15 +185,13 @@ def test_eta_example(split):
                           "d": W("d")},
                          {"a": W("a b^-1"), "b": W("b"), "c": W("c"),
                           "d": W("d")})
-    mat = eta(phi)
+    mat = eta(split, "a", phi.aut)
     # r_a -> r_a + r_b, r_b and r_Y fixed (columns are images)
     assert mat == ((1, 0, 0), (1, 1, 0), (0, 0, 1))
 
 
 def test_eta_identity(split):
-    ident = GenWhitehead(identity_automorphism(split), mult_tag(split, "a"),
-                         _skip_check=True)
-    assert eta(ident) == tuple(
+    assert eta(split, "a", identity_automorphism(split)) == tuple(
         tuple(1 if i == j else 0 for j in range(3)) for i in range(3))
 
 
@@ -182,11 +203,10 @@ def test_eta_homomorphism_and_theta_inverse(graph_name, request):
         for _ in range(12):
             x = random_whitehead(g, a, rng)
             y = random_whitehead(g, a, rng)
-            assert eta(GenWhitehead(x.aut.compose(y.aut), x.tag,
-                                    _skip_check=True)) == \
-                mat_mul(eta(x), eta(y))
-            assert theta(g, a, eta(x)).aut == x.aut
-            mat = eta(x)
+            assert eta(g, a, x.aut.compose(y.aut)) == \
+                mat_mul(eta(g, a, x.aut), eta(g, a, y.aut))
+            assert theta(g, a, eta(g, a, x.aut)).aut == x.aut
+            mat = eta(g, a, x.aut)
             n, k = za_dims(g, a)
             A = tuple(tuple(mat[i][j] for j in range(n)) for i in range(n))
             assert mat_det(A) in (1, -1)
@@ -201,7 +221,7 @@ def test_support_restricted_zero_columns(split):
                           "d": W("d")})
     S = frozenset({("c", 1), ("c", -1), ("d", 1), ("d", -1)})
     assert not (support(phi) & S)
-    mat = eta(phi)
+    mat = eta(split, "a", phi.aut)
     n, k = za_dims(split, "a")
     for i in range(n):
         assert mat[i][n] == 0  # the Y column
@@ -235,8 +255,7 @@ def test_apply_preserves_arity_and_perm_lengths(split):
 def test_inner_witness(split):
     word = W("a b^-1")
     conj = conjugation_by(split, word)
-    wit = inner_witness(GenWhitehead(conj, mult_tag(split, "a"),
-                                     _skip_check=True))
+    wit = inner_witness(split, "a", conj)
     from raagaut.core import words_equal
     assert wit is not None and words_equal(split, wit, word)
     phi = make_whitehead(split, "a",
@@ -244,7 +263,43 @@ def test_inner_witness(split):
                           "d": W("d")},
                          {"a": W("a b^-1"), "b": W("b"), "c": W("c"),
                           "d": W("d")})
-    assert inner_witness(phi) is None
+    assert inner_witness(split, "a", phi.aut) is None
+
+
+@pytest.mark.parametrize("graph_name", ["split", "path4", "k3", "nodom6"])
+def test_eta_and_inner_witness_depend_only_on_the_class(graph_name, request):
+    g = request.getfixturevalue(graph_name)
+    rng = random.Random(sum(map(ord, graph_name)))
+    inner = 0
+    for a in g.vertices:
+        cls = sorted(g.adjdom_class(a), key=g.index.get)
+        auts = [random_whitehead(g, a, rng).aut for _ in range(10)]
+        auts += [conjugation_by(g, tuple(
+            (rng.choice(cls), rng.choice((1, -1)))
+            for _ in range(rng.randint(1, 3)))) for _ in range(4)]
+        for aut in auts:
+            wit = inner_witness(g, a, aut)
+            inner += wit is not None
+            for b in cls:
+                assert za_basis(g, b) == za_basis(g, a)
+                assert eta(g, b, aut) == eta(g, a, aut)
+                assert inner_witness(g, b, aut) == wit
+    assert inner >= 4 * len(g.vertices)
+
+
+def test_membership_checks_raise_input_errors(split, path4):
+    ims = {"a": W("a b^-1"), "b": W("b"), "c": W("c"), "d": W("d")}
+    inv = {"a": W("a b"), "b": W("b"), "c": W("c"), "d": W("d")}
+    assert make_whitehead(split, "a", ims, inv).vertex == "a"
+    with pytest.raises(InputError):
+        make_whitehead(split, "c", ims, inv)
+    # c -> c a: a commutes with b but not with d, so this is no
+    # automorphism of path4
+    unchecked = classic_whitehead(path4, ("a", 1), {("c", 1)},
+                                  _skip_check=True)
+    assert unchecked.aut.images["c"] == W("c a")
+    with pytest.raises(InputError):
+        classic_whitehead(path4, ("a", 1), {("c", 1)})
 
 
 def test_conjugation_letter_factors(split):

@@ -5,8 +5,7 @@ import pytest
 from raagaut.aut import (Automorphism, GenWhitehead, classic_whitehead,
                          enumerate_classic_whitehead, identity_automorphism,
                          is_long_range, laurence_generators, make_whitehead,
-                         mult_tag, permutation_automorphisms, support, theta,
-                         za_basis)
+                         permutation_automorphisms, support, theta, za_basis)
 from raagaut.core import DefiningGraph, class_tuple, parse_word
 from raagaut.errors import InputError
 from raagaut.exactmat import mat_det, mat_identity
@@ -253,6 +252,19 @@ def test_steinberg_adjacent_case(path4):
         alpha.aut.invert())
 
 
+def test_steinberg_conjugate_checks_membership(path4):
+    # beta is recorded in the group of [b], but a -> a c lies outside it;
+    # the hypotheses hold (b and a are adjacent, alpha fixes b), so only the
+    # membership check of the conjugate rejects the pair
+    alpha = GenWhitehead(identity_automorphism(path4), "a")
+    outside = Automorphism(path4, {"a": W("a c"), "b": W("b"), "c": W("c"),
+                                   "d": W("d")},
+                           {"a": W("a c^-1"), "b": W("b"), "c": W("c"),
+                            "d": W("d")})
+    with pytest.raises(InputError):
+        steinberg_conjugate(alpha, GenWhitehead(outside, "b"))
+
+
 def test_steinberg_length_law(path4, split):
     rng = random.Random(34)
     graphs = (path4, split)
@@ -401,8 +413,7 @@ def test_not_a_peak_rejected(f2):
                         {"a": W("a"), "b": W("b a")},
                         {"a": W("a"), "b": W("b a^-1")})
     Wt = class_tuple(f2, [W("b")])  # tr lengthens this
-    ident = GenWhitehead(identity_automorphism(f2), mult_tag(f2, "a"),
-                         _skip_check=True)
+    ident = GenWhitehead(identity_automorphism(f2), "a")
     with pytest.raises(InputError):
         Peak(Wt, tr, ident)
 
@@ -418,7 +429,7 @@ def test_classic_factor_list_roundtrip(split, path4):
                 from raagaut.aut import is_long_range
                 if not is_long_range(wh):
                     continue
-                fac = classic_factor_list(wh, a)
+                fac = classic_factor_list(wh)
                 assert compose_factors(g, fac) == wh.aut
 
 

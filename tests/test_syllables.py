@@ -3,8 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from raagaut.aut import GenWhitehead, make_whitehead, mult_tag, theta, \
-    za_basis
+from raagaut.aut import GenWhitehead, make_whitehead, theta, za_basis
 from raagaut.core import ClassTuple, canonical_class, class_tuple, parse_word
 from raagaut.syllables import (Decomposition, act_on_decomposition, decompose,
                                length_delta, matching_permutations, nu,
@@ -97,8 +96,7 @@ def test_act_identity(split):
     from raagaut.aut import identity_automorphism
     U = class_tuple(split, [W("c a c b c b")])
     d = decompose(split, "a", U)
-    ident = GenWhitehead(identity_automorphism(split), mult_tag(split, "a"),
-                         _skip_check=True)
+    ident = GenWhitehead(identity_automorphism(split), "a")
     out = act_on_decomposition(ident, d)
     assert nu(out) == nu(d)
 
