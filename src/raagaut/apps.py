@@ -19,17 +19,18 @@ from __future__ import annotations
 
 from .aut import (Automorphism, conjugation_by, conjugation_letter_factors,
                   enumerate_classic_whitehead, identity_automorphism,
-                  is_long_range, permutation_automorphisms, support, za_basis)
+                  is_long_range, permutation_automorphisms, support, za_dims)
 from .core import ClassTuple, canonical_class, reduce_word
 from .errors import BudgetError, InputError
 from .linalg import LabeledGraph, Presentation, g1_orbit_decide
 from .peak import (classic_factor_list, fixes_class_pointwise,
                    long_range_peak_reduce)
-from .syllables import Decomposition, decompose, nu_matrix
+from .syllables import decompose, nu_matrix
 from .whorbit import (theta_of_block, wh_stabilizer_presentation,
                       zero_columns_from_support)
 
 DELTA_VERTEX_BUDGET = 2000
+Z_VERTEX_BUDGET = 60
 SWEEP_BUDGET = 200_000
 
 
@@ -77,18 +78,20 @@ def _exponent_assignments(mults, n, total, exact):
 
 
 def wh_reachable(g, a, U: ClassTuple, shorter=False, zero_columns=frozenset(),
-                 max_vertices=None, budget=SWEEP_BUDGET):
+                 budget=None):
     """All tuples reachable from U inside the support-restricted Whitehead
     group of [a] with the same total length (or strictly shorter), each with
-    a verified witness.
+    a verified witness.  ``budget`` caps the candidate exponent assignments
+    (None: ``SWEEP_BUDGET``).
 
     Yields (tuple, GenWhitehead) pairs; the starting tuple itself is not
     reported.
     """
+    if budget is None:
+        budget = SWEEP_BUDGET
     T = decompose(g, a, U)
     nuT = nu_matrix(T)
-    n = len(g.adjdom_class(a))
-    k = len(za_basis(g, a)) - n
+    n, k = za_dims(g, a)
     cols = [tuple(nuT[i][j] for i in range(len(nuT)))
             for j in range(len(T.syllables))]
     tops = [col[:n] for col in cols]
@@ -110,15 +113,12 @@ def wh_reachable(g, a, U: ClassTuple, shorter=False, zero_columns=frozenset(),
     for assign in _exponent_assignments(mults, n, total, exact=not shorter):
         count += 1
         if count > budget:
-            raise BudgetError("wh_reachable candidates %d > budget %d"
-                              % (count, budget))
+            raise BudgetError.exceeded("wh_reachable candidates", count,
+                                       budget)
         newexps = [assign[col_group[j]] for j in range(len(cols))]
         if not shorter and newexps == list(tops):
             continue
-        cand = Decomposition(
-            g, a,
-            [s.with_exps(e) for s, e in zip(T.syllables, newexps)],
-            T.blocks)
+        cand = T.with_exps(newexps)
         ok = True
         words = []
         for b in range(len(cand.blocks)):
@@ -135,8 +135,7 @@ def wh_reachable(g, a, U: ClassTuple, shorter=False, zero_columns=frozenset(),
             continue
         if target == U or target in seen_targets:
             continue
-        cert = g1_orbit_decide(nuT, nu_matrix(cand), n, k, zero_columns,
-                               max_vertices=max_vertices)
+        cert = g1_orbit_decide(nuT, nu_matrix(cand), n, k, zero_columns)
         if cert.witness is None:
             continue
         wh = theta_of_block(g, a, cert.witness)
@@ -146,7 +145,7 @@ def wh_reachable(g, a, U: ClassTuple, shorter=False, zero_columns=frozenset(),
         yield target, wh
 
 
-def minimize_tuple(g, U: ClassTuple, max_vertices=None):
+def minimize_tuple(g, U: ClassTuple):
     """A minimal-length tuple in the orbit of U together with a minimizing
     automorphism.
 
@@ -164,8 +163,7 @@ def minimize_tuple(g, U: ClassTuple, max_vertices=None):
                 break
         if step is None:
             for a in _class_reps(g):
-                for target, wh in wh_reachable(g, a, cur, shorter=True,
-                                               max_vertices=max_vertices):
+                for target, wh in wh_reachable(g, a, cur, shorter=True):
                     step = (wh.aut, target)
                     break
                 if step is not None:
@@ -190,15 +188,16 @@ class OrbitGraph(LabeledGraph):
 
 
 def build_delta(g, W_min: ClassTuple, with_stabilizers=False,
-                max_vertices=DELTA_VERTEX_BUDGET, max_schreier=None):
+                max_vertices=None):
     """The finite orbit graph on the component of a minimal tuple, taken up
     to the finite group P of signed graph symmetries
     (``permutation_automorphisms``).
 
     Vertices are P-orbit representatives, the first one W_min, and edges
     carry automorphisms.  A new tuple's whole P-orbit enters ``orbit`` at
-    once, in the order of P; ``max_vertices`` caps the tuples there, not
-    the representatives.  Reachability is P-equivariant, because p
+    once, in the order of P; ``max_vertices`` (None:
+    ``DELTA_VERTEX_BUDGET``) caps the tuples there, not the
+    representatives.  Reachability is P-equivariant, because p
     conjugates the Whitehead group of [a] onto that of [p(a)], so
     ``wh_reachable`` sweeps only at representatives: a witness wh from R to
     q(R') becomes the edge R -> R' carrying q^-1 wh.  Every non-identity
@@ -206,6 +205,8 @@ def build_delta(g, W_min: ClassTuple, with_stabilizers=False,
     ``with_stabilizers`` adds the Whitehead stabilizer generators at R;
     with those, the loops of this graph generate the stabilizer of W_min
     (Schreier's lemma on the groupoid of the all-tuple graph)."""
+    if max_vertices is None:
+        max_vertices = DELTA_VERTEX_BUDGET
     perms = [p.aut for p in permutation_automorphisms(g)]
     graph = OrbitGraph()
     orbit = graph.orbit
@@ -227,8 +228,9 @@ def build_delta(g, W_min: ClassTuple, with_stabilizers=False,
                 image = p.apply_to_tuple(W)
                 if image not in orbit:
                     if len(orbit) >= max_vertices:
-                        raise BudgetError("build_delta tuples %d > budget %d"
-                                          % (len(orbit) + 1, max_vertices))
+                        raise BudgetError.exceeded(
+                            "build_delta tuples", len(orbit) + 1,
+                            max_vertices)
                     orbit[image] = (rep, p)
                 if image == W:
                     add_edge(rep, rep, p, "p")
@@ -239,13 +241,11 @@ def build_delta(g, W_min: ClassTuple, with_stabilizers=False,
     while src < graph.n_vertices():
         R = graph.payloads[src]
         for a in _class_reps(g):
-            for target, wh in wh_reachable(g, a, R,
-                                           max_vertices=max_schreier):
+            for target, wh in wh_reachable(g, a, R):
                 dst, q = locate(target)
                 add_edge(src, dst, q.invert().compose(wh.aut), "w")
             if with_stabilizers:
-                pres, _ = wh_stabilizer_presentation(
-                    g, a, frozenset(), R, max_vertices=max_schreier)
+                pres, _ = wh_stabilizer_presentation(g, a, frozenset(), R)
                 for _, wh in pres.generators:
                     add_edge(src, src, wh.aut, "s")
         src += 1
@@ -255,12 +255,13 @@ def build_delta(g, W_min: ClassTuple, with_stabilizers=False,
     return graph
 
 
-def _delta_cached(g, W_min, with_stabilizers, max_vertices, max_schreier):
+def _delta_cached(g, W_min, with_stabilizers, max_vertices):
+    """``build_delta`` once per graph and arguments: a graph built under one
+    budget does not answer a call under another."""
     cache = g._cache.setdefault("delta", {})
-    key = (W_min, with_stabilizers)
+    key = (W_min, with_stabilizers, max_vertices)
     if key not in cache:
-        cache[key] = build_delta(g, W_min, with_stabilizers, max_vertices,
-                                 max_schreier)
+        cache[key] = build_delta(g, W_min, with_stabilizers, max_vertices)
     return cache[key]
 
 
@@ -275,18 +276,17 @@ def _wh_letter(wh, fwd):
     return _aut_letter(wh.aut, fwd)
 
 
-def aut_orbit_decide(g, U: ClassTuple, V: ClassTuple,
-                     max_vertices=DELTA_VERTEX_BUDGET, max_schreier=None):
+def aut_orbit_decide(g, U: ClassTuple, V: ClassTuple, max_vertices=None):
     """An automorphism carrying U to V, or None: minimize both sides, then
     look for V's minimum among the tuples of the orbit graph of U's
     minimum, and follow the tree path to its representative."""
     if len(U.entries) != len(V.entries):
         return None
-    U_min, mu = minimize_tuple(g, U, max_vertices=max_schreier)
-    V_min, mv = minimize_tuple(g, V, max_vertices=max_schreier)
+    U_min, mu = minimize_tuple(g, U)
+    V_min, mv = minimize_tuple(g, V)
     if U_min.length != V_min.length:
         return None
-    graph = _delta_cached(g, U_min, False, max_vertices, max_schreier)
+    graph = _delta_cached(g, U_min, False, max_vertices)
     if V_min not in graph.orbit:
         return None
     rep, q = graph.orbit[V_min]
@@ -300,14 +300,12 @@ def aut_orbit_decide(g, U: ClassTuple, V: ClassTuple,
     return result
 
 
-def stabilizer_generators(g, W: ClassTuple,
-                          max_vertices=DELTA_VERTEX_BUDGET,
-                          max_schreier=None):
+def stabilizer_generators(g, W: ClassTuple, max_vertices=None):
     """A finite generating set for the stabilizer of W: fundamental-group
     generators of the orbit graph at the minimum, whose loops include the
     symmetries fixing each representative, conjugated back."""
-    W_min, mu = minimize_tuple(g, W, max_vertices=max_schreier)
-    graph = _delta_cached(g, W_min, True, max_vertices, max_schreier)
+    W_min, mu = minimize_tuple(g, W)
+    graph = _delta_cached(g, W_min, True, max_vertices)
     _, loops = graph.schreier_generators(
         graph.vindex[W_min], _aut_letter, Automorphism.compose,
         Automorphism.invert, identity_automorphism(g))
@@ -344,7 +342,7 @@ class StabComplex:
         self.cells = cells
 
 
-def build_Z(g, W_min: ClassTuple, max_vertices=60, max_schreier=None):
+def build_Z(g, W_min: ClassTuple, max_vertices=None):
     """The presentation complex: the orbit component with classic-move and
     support-restricted edges, stabilizer loops, and the seven cell families.
 
@@ -357,10 +355,14 @@ def build_Z(g, W_min: ClassTuple, max_vertices=60, max_schreier=None):
     the same vertex with the same automorphism, so the cost is the classic
     out-degree cubed per vertex.
 
-    Small instances only; the per-vertex, per-class, per-support-subset
-    stabilizer loops are an exponential wall by construction.
+    Small instances only: ``max_vertices`` (None: ``Z_VERTEX_BUDGET``) caps
+    the tuples of the orbit component, and the per-vertex, per-class,
+    per-support-subset stabilizer loops are an exponential wall by
+    construction.
     """
-    delta = _delta_cached(g, W_min, False, max_vertices, max_schreier)
+    if max_vertices is None:
+        max_vertices = Z_VERTEX_BUDGET
+    delta = _delta_cached(g, W_min, False, max_vertices)
     graph = LabeledGraph()
     for key in delta.orbit:
         graph.add_vertex(key)
@@ -388,8 +390,8 @@ def build_Z(g, W_min: ClassTuple, max_vertices=60, max_schreier=None):
             if target in graph.vindex:
                 add_edge(src, graph.vindex[target], wh)
     # support-restricted witness edges, stabilizer loops and, for the empty
-    # support, the contexts that rewrite stabilizer elements as loop words
-    contexts = {}
+    # support, the rewriters of stabilizer elements as loop words
+    rewriters = {}
     cells = []
     for W1 in vertices:
         src = graph.vindex[W1]
@@ -398,16 +400,14 @@ def build_Z(g, W_min: ClassTuple, max_vertices=60, max_schreier=None):
                        if v not in g.star(a) for s in (1, -1)]
             for S in _powerset(letters):
                 zc = zero_columns_from_support(g, a, S)
-                for target, wh in wh_reachable(g, a, W1, zero_columns=zc,
-                                               max_vertices=max_schreier):
+                for target, wh in wh_reachable(g, a, W1, zero_columns=zc):
                     if target in graph.vindex:
                         add_edge(src, graph.vindex[target], wh)
-                pres, ctx = wh_stabilizer_presentation(
-                    g, a, S, W1, max_vertices=max_schreier)
+                pres, rewrite = wh_stabilizer_presentation(g, a, S, W1)
                 name_to_edge = {name: add_edge(src, src, wh)
                                 for name, wh in pres.generators}
                 if not S:
-                    contexts[(src, a)] = (ctx, name_to_edge)
+                    rewriters[(src, a)] = (rewrite, name_to_edge)
                 # C1 cells: the relators of each stabilizer presentation
                 for rel in pres.relators:
                     steps = [(name_to_edge[nm], sgn > 0) for nm, sgn in rel]
@@ -415,8 +415,8 @@ def build_Z(g, W_min: ClassTuple, max_vertices=60, max_schreier=None):
                         cells.append(("C1", src, steps))
 
     def loop_word_for(src, a, aut):
-        ctx, table = contexts[(src, a)]
-        return [(table[nm], sgn > 0) for nm, sgn in ctx.rewrite(aut)]
+        rewrite, table = rewriters[(src, a)]
+        return [(table[nm], sgn > 0) for nm, sgn in rewrite(aut)]
 
     def edge_of(src, aut):
         return edge_by_key.get((src, aut.key()))
@@ -677,13 +677,11 @@ def _verify_cells(g, Z: StabComplex):
                                  % kind)
 
 
-def stabilizer_presentation(g, W: ClassTuple, max_vertices=60,
-                            max_schreier=None):
+def stabilizer_presentation(g, W: ClassTuple, max_vertices=None):
     """Finite presentation of the stabilizer of W read off the fundamental
     group of the presentation complex at the minimal representative."""
-    W_min, mu = minimize_tuple(g, W, max_vertices=max_schreier)
-    Z = build_Z(g, W_min, max_vertices=max_vertices,
-                max_schreier=max_schreier)
+    W_min, mu = minimize_tuple(g, W)
+    Z = build_Z(g, W_min, max_vertices=max_vertices)
     _verify_cells(g, Z)
     ident = identity_automorphism(g)
     _, loops = Z.graph.schreier_generators(

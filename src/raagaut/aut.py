@@ -19,6 +19,9 @@ from .core import (InputError, Word, canonical_class, format_word,
 from .errors import BudgetError
 from .exactmat import int_inverse
 
+PERMUTATION_BUDGET = 100_000
+CLASSIC_CHOICE_BUDGET = 200_000
+
 
 class Automorphism:
     """A validated automorphism given by generator images and inverse images."""
@@ -451,7 +454,9 @@ def graph_symmetries(g):
 
     A backtracking search maps the vertices in declared order, trying the
     candidates in declared order: an unused vertex of the same degree whose
-    adjacency to the vertices already mapped matches.
+    adjacency to the vertices already mapped matches.  It stops as soon as
+    the signed group the symmetries span (``permutation_automorphisms``,
+    2^n elements per symmetry) passes ``PERMUTATION_BUDGET``.
     """
     key = "symmetries"
     if key not in g._cache:
@@ -462,6 +467,10 @@ def graph_symmetries(g):
         def extend(i):
             if i == len(vs):
                 out.append(dict(pi))
+                if len(out) * 2 ** len(vs) > PERMUTATION_BUDGET:
+                    raise BudgetError.exceeded(
+                        "permutation_automorphisms elements",
+                        len(out) * 2 ** len(vs), PERMUTATION_BUDGET)
                 return
             u = vs[i]
             for x in vs:
@@ -478,15 +487,12 @@ def graph_symmetries(g):
     return g._cache[key]
 
 
-def permutation_automorphisms(g, budget=100_000):
+def permutation_automorphisms(g):
     """The finite subgroup of automorphisms permuting the letters."""
     key = "perm_auts"
     if key not in g._cache:
-        syms = graph_symmetries(g)
-        if len(syms) * 2 ** len(g.vertices) > budget:
-            raise BudgetError("too many permutation automorphisms")
         out = []
-        for pi in syms:
+        for pi in graph_symmetries(g):
             for signs in product((1, -1), repeat=len(g.vertices)):
                 ims = {v: ((pi[v], s),)
                        for v, s in zip(g.vertices, signs)}
@@ -544,7 +550,7 @@ def laurence_generators(g):
     return g._cache[key]
 
 
-def enumerate_classic_whitehead(g, long_range_only=False, budget=200_000):
+def enumerate_classic_whitehead(g, long_range_only=False):
     """All classic Whitehead automorphisms of multiplier type, both
     multiplier signs, including the identity.
 
@@ -553,7 +559,8 @@ def enumerate_classic_whitehead(g, long_range_only=False, budget=200_000):
     classic actions, components with at least two vertices move as blocks
     (conjugation only), adjacent dominated vertices may be multiplied on one
     side, and everything else stays fixed.  With ``long_range_only`` the
-    star of the multiplier is left untouched.
+    star of the multiplier is left untouched.  The action choices of each
+    multiplier are capped by ``CLASSIC_CHOICE_BUDGET``.
     """
     key = ("classics", long_range_only)
     if key in g._cache:
@@ -572,8 +579,10 @@ def enumerate_classic_whitehead(g, long_range_only=False, budget=200_000):
         if not long_range_only:
             slots += [((), ((b, 1),), ((b, -1),)) for b in sorted(
                 (g.star(a) & g.dom(a)) - {a}, key=g.index.get)]
-        if prod(len(slot) for slot in slots) > budget:
-            raise BudgetError("classic Whitehead enumeration too large")
+        choices = prod(len(slot) for slot in slots)
+        if choices > CLASSIC_CHOICE_BUDGET:
+            raise BudgetError.exceeded("enumerate_classic_whitehead choices",
+                                       choices, CLASSIC_CHOICE_BUDGET)
         for sign in (1, -1):
             for choice in product(*slots):
                 wh = classic_whitehead(

@@ -180,10 +180,7 @@ def cmd_orbit(args):
     g = need_graph(args)
     U = parse_tuple(g, need(args, "tuple1", "--tuple"))
     V = parse_tuple(g, need(args, "tuple2", "--tuple2"))
-    kw = {}
-    if args.max_vertices:
-        kw["max_vertices"] = args.max_vertices
-    alpha = aut_orbit_decide(g, U, V, **kw)
+    alpha = aut_orbit_decide(g, U, V, max_vertices=args.max_vertices)
     if alpha is None:
         emit(args, {"equivalent": False}, ["not in the same orbit"])
         return EXIT_OK
@@ -212,10 +209,7 @@ def cmd_minimize(args):
 def cmd_stab_gens(args):
     g = need_graph(args)
     W = parse_tuple(g, need(args, "tuple1", "--tuple"))
-    kw = {}
-    if args.max_vertices:
-        kw["max_vertices"] = args.max_vertices
-    gens = stabilizer_generators(g, W, **kw)
+    gens = stabilizer_generators(g, W, max_vertices=args.max_vertices)
     for x in gens:
         if x.apply_to_tuple(W) != W:
             raise AssertionError("certificate failed re-verification")
@@ -228,10 +222,7 @@ def cmd_stab_gens(args):
 def cmd_stab_pres(args):
     g = need_graph(args)
     W = parse_tuple(g, need(args, "tuple1", "--tuple"))
-    kw = {}
-    if args.max_vertices:
-        kw["max_vertices"] = args.max_vertices
-    pres = stabilizer_presentation(g, W, **kw)
+    pres = stabilizer_presentation(g, W, max_vertices=args.max_vertices)
 
     def verify():
         pres.check_relators(Automorphism.compose, Automorphism.invert,
@@ -251,10 +242,7 @@ def cmd_wh_orbit(args):
     S = parse_support(g, args.support)
     U = parse_tuple(g, need(args, "tuple1", "--tuple"))
     V = parse_tuple(g, need(args, "tuple2", "--tuple2"))
-    kw = {}
-    if args.max_vertices:
-        kw["max_vertices"] = args.max_vertices
-    wh = wh_orbit_decide(g, a, S, U, V, **kw)
+    wh = wh_orbit_decide(g, a, S, U, V, max_vertices=args.max_vertices)
     if wh is None:
         emit(args, {"equivalent": False}, ["no such element"])
         return EXIT_OK
@@ -272,10 +260,8 @@ def cmd_wh_stab(args):
         raise InputError("unknown vertex %r" % a)
     S = parse_support(g, args.support)
     U = parse_tuple(g, need(args, "tuple1", "--tuple"))
-    kw = {}
-    if args.max_vertices:
-        kw["max_vertices"] = args.max_vertices
-    pres, ctx = wh_stabilizer_presentation(g, a, S, U, **kw)
+    pres, _ = wh_stabilizer_presentation(g, a, S, U,
+                                         max_vertices=args.max_vertices)
 
     def verify():
         for nm, wh in pres.generators:
@@ -295,10 +281,7 @@ def cmd_peak_reduce(args):
     W = parse_tuple(g, need(args, "tuple1", "--tuple"))
     aut = Automorphism.load(g, need(args, "aut", "--aut"))
     factors = omega_factorization(g, aut)
-    kw = {}
-    if args.max_depth:
-        kw["budget"] = args.max_depth
-    fac = peak_reduce(g, factors, W, **kw)
+    fac = peak_reduce(g, factors, W, budget=args.max_depth)
     if compose_factors(g, fac.factors) != aut:
         raise AssertionError("certificate failed re-verification")
     data = fac.to_json()
@@ -361,8 +344,8 @@ def cmd_matrix_stab(args):
         raise InputError("stabilizer presentation expects an integer "
                          "matrix")
     S = parse_support_columns(args, k)
-    pres, ctx = g1_stabilizer_presentation(rows, n, k, S,
-                                           max_vertices=args.max_vertices)
+    pres, _ = g1_stabilizer_presentation(rows, n, k, S,
+                                         max_vertices=args.max_vertices)
 
     def verify():
         pres.check_relators(BlockMatrix.mul, BlockMatrix.inv,

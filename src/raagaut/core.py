@@ -22,6 +22,8 @@ Letter = tuple[str, int]
 Word = tuple[Letter, ...]
 
 CANONICAL_STATE_BUDGET = 2_000_000
+WORD_ENUMERATION_BUDGET = 200_000
+TUPLE_ENUMERATION_BUDGET = 500_000
 
 
 class DefiningGraph:
@@ -319,7 +321,7 @@ def _front_positions(g, trace):
     return out
 
 
-def canonical_class(g, word, budget=CANONICAL_STATE_BUDGET) -> ConjClass:
+def canonical_class(g, word, budget=None) -> ConjClass:
     """Canonical representative by a BFS over the traces of the cyclic
     conjugates of a cyclically reduced representative.
 
@@ -329,8 +331,10 @@ def canonical_class(g, word, budget=CANONICAL_STATE_BUDGET) -> ConjClass:
     and the states reached are the traces of exactly those words, so the
     least ``lexnf`` among them is the least word of the class.  Each state
     costs one quadratic ``lexnf`` per front letter; ``budget`` caps the
-    number of trace states.
+    number of trace states (None: ``CANONICAL_STATE_BUDGET``).
     """
+    if budget is None:
+        budget = CANONICAL_STATE_BUDGET
     w = cyclically_reduce(g, word)
     memo = g._cache.setdefault("canon", {})
     cls = memo.get(w)
@@ -350,9 +354,9 @@ def canonical_class(g, word, budget=CANONICAL_STATE_BUDGET) -> ConjClass:
                         seen.add(v)
                         nxt.append(v)
                         if len(seen) > budget:
-                            raise BudgetError(
-                                "canonical_class trace states %d > budget %d"
-                                % (len(seen), budget))
+                            raise BudgetError.exceeded(
+                                "canonical_class trace states", len(seen),
+                                budget)
             frontier = nxt
         cls = ConjClass(min(seen, key=lambda u: [g.letter_key(x) for x in u]),
                         _CONJ_TOKEN)
@@ -433,11 +437,11 @@ def _cancels_back(g, word, let):
     return False
 
 
-def enumerate_reduced_words(g, length, budget=None):
-    """All graphically reduced words of exactly the given length.
+def enumerate_reduced_words(g, length):
+    """All graphically reduced words of exactly the given length, at most
+    ``WORD_ENUMERATION_BUDGET`` of them.
 
-    ``enumerate_classes`` and ``enumerate_tuples`` build on it; budget caps
-    the output size.
+    ``enumerate_classes`` and ``enumerate_tuples`` build on it.
     """
     letters = [(v, s) for v in g.vertices for s in (1, -1)]
     out = []
@@ -446,8 +450,9 @@ def enumerate_reduced_words(g, length, budget=None):
         w = stack.pop()
         if len(w) == length:
             out.append(w)
-            if budget is not None and len(out) > budget:
-                raise BudgetError("word enumeration budget exceeded")
+            if len(out) > WORD_ENUMERATION_BUDGET:
+                raise BudgetError.exceeded("enumerate_reduced_words words",
+                                           len(out), WORD_ENUMERATION_BUDGET)
             continue
         for let in letters:
             if not _cancels_back(g, w, let):
@@ -455,17 +460,13 @@ def enumerate_reduced_words(g, length, budget=None):
     return out
 
 
-def enumerate_classes(g, length, budget=200_000):
+def enumerate_classes(g, length):
     """All conjugacy classes of exactly the given length."""
     cache = g._cache.setdefault("classes", {})
     if length in cache:
         return cache[length]
     seen = set()
-    count = 0
-    for w in enumerate_reduced_words(g, length, budget):
-        count += 1
-        if count > budget:
-            raise BudgetError("class enumeration budget exceeded")
+    for w in enumerate_reduced_words(g, length):
         cls = canonical_class(g, w)
         if cls.length == length:
             seen.add(cls)
@@ -474,8 +475,9 @@ def enumerate_classes(g, length, budget=200_000):
     return result
 
 
-def enumerate_tuples(g, arity, total_length, budget=500_000):
-    """All ClassTuples with the given arity and total length."""
+def enumerate_tuples(g, arity, total_length):
+    """All ClassTuples with the given arity and total length, at most
+    ``TUPLE_ENUMERATION_BUDGET`` of them."""
     def splits(m, total):
         if m == 1:
             yield (total,)
@@ -489,6 +491,7 @@ def enumerate_tuples(g, arity, total_length, budget=500_000):
         pools = [enumerate_classes(g, ln) for ln in split]
         for combo in product(*pools):
             out.append(ClassTuple(combo))
-            if len(out) > budget:
-                raise BudgetError("tuple enumeration budget exceeded")
+            if len(out) > TUPLE_ENUMERATION_BUDGET:
+                raise BudgetError.exceeded("enumerate_tuples tuples",
+                                           len(out), TUPLE_ENUMERATION_BUDGET)
     return out

@@ -189,13 +189,9 @@ def is_normal_form(rows, n, k) -> bool:
     return True
 
 
-def pivot_count(rows, n, k):
-    count = 0
-    m = len(rows[0]) if rows else 0
-    for i in range(n):
-        if any(rows[i][j] != 0 for j in range(m)):
-            count += 1
-    return count
+def pivot_count(rows, n):
+    """The non-zero rows among the first n."""
+    return sum(1 for row in rows[:n] if any(row))
 
 
 # -- presentations ---------------------------------------------------------
@@ -692,7 +688,7 @@ def gd_stabilizer(rows, n, k, d):
         raise InputError("matrix is not in normal form")
     if d % target_lcd(rows) != 0:
         raise InputError("matrix entries are not multiples of 1/d")
-    l = pivot_count(rows, n, k)
+    l = pivot_count(rows, n)
     m = n - l
     bottom = rows[n:]
 
@@ -837,8 +833,8 @@ def schreier_g1_in_gd(named_gens, n, k, d, start, max_vertices=None):
         if res in images:
             continue
         if len(images) == max_vertices:
-            raise BudgetError("schreier_g1_in_gd vertices %d > budget %d"
-                              % (max_vertices + 1, max_vertices))
+            raise BudgetError.exceeded("schreier_g1_in_gd vertices",
+                                       max_vertices + 1, max_vertices)
         images[res] = [
             tuple(tuple((sum(A[i][t] * res[t][j] for t in range(n))
                          + rc[i][j]) % d for j in range(k))
@@ -938,35 +934,6 @@ def g1_orbit_decide(rows_a, rows_b, n, k, zero_columns=frozenset(),
 
 # -- presentation of the integral stabilizer ---------------------------------
 
-class StabPresCtx:
-    """Everything needed to rewrite integral stabilizer elements over the
-    output generators: the conjugator, the structured stabilizer, and the
-    Schreier component with the generator names of its non-tree edges."""
-
-    __slots__ = ("n", "k", "zero_columns", "Q", "struct", "graph", "base",
-                 "gen_of_edge")
-
-    def __init__(self, **kw):
-        for key, val in kw.items():
-            setattr(self, key, val)
-
-    def rewrite(self, D: BlockMatrix):
-        """Word over the output generators for an element of the integral
-        stabilizer."""
-        small = BlockMatrix(self.n, self.k - len(self.zero_columns),
-                            D.A, [
-            [x for j, x in enumerate(row) if j not in self.zero_columns]
-            for row in D.B])
-        Y = self.Q.mul(small).mul(self.Q.inv())
-        # trace the word over the conjugated stabilizer generators through
-        # the Schreier component, rewriting over the covering generators
-        word, end = self.graph.trace(self.base, gd_stab_word(Y, self.struct),
-                                     self.gen_of_edge)
-        if end != self.base:
-            raise InputError("word does not lie in the integral stabilizer")
-        return word
-
-
 def cover_presentation(pres: Presentation, graph: LabeledGraph, base,
                        mul, inv, identity):
     """Presentation of the finite-index subgroup read off a connected
@@ -995,8 +962,8 @@ def g1_stabilizer_presentation(rows_a, n, k, zero_columns=frozenset(),
     """Finite presentation of the stabilizer of an integer matrix in the
     integral block group (rational block zero on the given columns).
 
-    Returns (presentation, ctx); ctx.rewrite expresses further stabilizer
-    elements over the presentation's generators.
+    Returns (presentation, rewrite); ``rewrite`` expresses further
+    stabilizer elements over the presentation's generators.
     """
     zero_columns = frozenset(zero_columns)
     rows_a = [tuple(map(Fraction, r)) for r in rows_a]
@@ -1028,10 +995,21 @@ def g1_stabilizer_presentation(rows_a, n, k, zero_columns=frozenset(),
             raise AssertionError("stabilizer generator is not integral")
         if not mat_eq(p.act(rows_a), tuple(rows_a)):
             raise AssertionError("stabilizer generator moves the matrix")
-    ctx = StabPresCtx(n=n, k=k, zero_columns=zero_columns, Q=Q,
-                      struct=struct, graph=graph, base=base,
-                      gen_of_edge=gen_of_edge)
-    return pres, ctx
+
+    def rewrite(D: BlockMatrix):
+        """Word over the output generators for an element of the integral
+        stabilizer: conjugate it into the structured stabilizer and trace
+        its word there through the Schreier component."""
+        small = BlockMatrix(n, k2, D.A, [
+            [x for j, x in enumerate(row) if j not in zero_columns]
+            for row in D.B])
+        word, end = graph.trace(base, gd_stab_word(Q.mul(small).mul(Qi),
+                                                   struct), gen_of_edge)
+        if end != base:
+            raise InputError("word does not lie in the integral stabilizer")
+        return word
+
+    return pres, rewrite
 
 
 def presentation_from_finite_index(pH: Presentation, extra, graph, base,

@@ -68,9 +68,6 @@ class Factorization:
     def __iter__(self):
         return iter(self.factors)
 
-    def __getitem__(self, i):
-        return self.factors[i]
-
     def is_unimodal(self):
         p = self.profile
         i = 0
@@ -368,8 +365,6 @@ def lower_classic_peak(g, V: ClassTuple, alpha, beta, moves, index):
         inv1 = m1.aut.invert()
         for mk in last:
             rem = mk.aut.invert().compose(target).compose(inv1)
-            if rem.is_identity():
-                return [m1, mk]
             hit = index.get(rem.key())
             if hit is not None:
                 return [m1, hit, mk]
@@ -401,10 +396,13 @@ def find_peak_position(profile):
     return best
 
 
-def rewrite_loop(g, factors, base, lower, budget=REWRITE_BUDGET):
+def rewrite_loop(g, factors, base, lower, budget=None):
     """Repeatedly replace a maximal peak with a lowering until the profile
-    is unimodal.  The measure (max interior height, positions at it) is
-    asserted to decrease lexicographically."""
+    is unimodal, in at most ``budget`` steps (None: ``REWRITE_BUDGET``).
+    The measure (max interior height, positions at it) is asserted to
+    decrease lexicographically."""
+    if budget is None:
+        budget = REWRITE_BUDGET
     factors = [f for f in factors if not f.aut.is_identity()]
     steps = 0
     prev_measure = None
@@ -423,7 +421,7 @@ def rewrite_loop(g, factors, base, lower, budget=REWRITE_BUDGET):
         prev_measure = measure
         steps += 1
         if steps > budget:
-            raise BudgetError("peak reduction budget exceeded")
+            raise BudgetError.exceeded("rewrite_loop steps", steps, budget)
         V = tuples[pos]
         alpha = factors[pos - 1].invert()
         beta = factors[pos]
@@ -433,14 +431,10 @@ def rewrite_loop(g, factors, base, lower, budget=REWRITE_BUDGET):
         factors = [f for f in factors if not f.aut.is_identity()]
 
 
-def long_range_peak_reduce(g, factors_or_wh, W: ClassTuple, cls=None,
+def long_range_peak_reduce(g, factors, W: ClassTuple, cls=None,
                            include_perms=True):
-    """Peak-reduce a long-range element (given as a factor list or a single
-    long-range Whitehead element) with respect to W, by classic moves."""
-    if isinstance(factors_or_wh, GenWhitehead):
-        factors = classic_factor_list(factors_or_wh)
-    else:
-        factors = list(factors_or_wh)
+    """Peak-reduce a long-range element, given as a factor list, with
+    respect to W, by classic moves."""
     moves, index = move_universe(g, cls, include_perms)
 
     def lower(V, alpha, beta):
@@ -626,7 +620,8 @@ def lower_asymmetric(g, V, alpha, beta):
 
 def _asym_rec(g, V, alpha, facts, beta, depth):
     if depth > ASYM_LOOP_BUDGET:
-        raise BudgetError("asymmetric recursion budget exceeded")
+        raise BudgetError.exceeded("_asym_rec depth", depth,
+                                   ASYM_LOOP_BUDGET)
     a = alpha.vertex
     b = beta.vertex
     facts = [f for f in facts if not f.aut.is_identity()]
@@ -789,7 +784,8 @@ def _asym_base_loop(g, V, alpha, beta):
     while state["W1"].length >= V.length:
         steps += 1
         if steps > ASYM_LOOP_BUDGET:
-            raise BudgetError("asymmetric loop budget exceeded")
+            raise BudgetError.exceeded("_asym_base_loop steps", steps,
+                                       ASYM_LOOP_BUDGET)
         W1 = state["W1"]
         beta_p = state["beta_p"]
         beta_pp = state["beta_pp"]
@@ -882,11 +878,11 @@ def omega_factorization(g, aut: Automorphism):
                          "element; supply a factorization") from None
 
 
-def peak_reduce(g, factors, W: ClassTuple, budget=REWRITE_BUDGET
-                ) -> Factorization:
+def peak_reduce(g, factors, W: ClassTuple, budget=None) -> Factorization:
     """Peak-reduce a factorized automorphism with respect to W: the output
     composes to the same automorphism and its length profile strictly
-    decreases, stays constant, then strictly increases."""
+    decreases, stays constant, then strictly increases.  ``budget`` caps
+    the peaks lowered (None: ``REWRITE_BUDGET``)."""
     factors = list(factors)
     original = compose_factors(g, factors)
 

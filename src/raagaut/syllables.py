@@ -15,6 +15,8 @@ from .aut import GenWhitehead, eta, za_basis
 from .core import ClassTuple, ConjClass, canonical_class, power_word
 from .errors import BudgetError, InputError
 
+MATCHING_BUDGET = 200_000
+
 
 class Syllable:
     """One syllable: optional endpoints, class-exponent vector, and the
@@ -32,24 +34,11 @@ class Syllable:
     def cyclic(self):
         return self.left is None
 
-    def middle_length(self):
-        return sum(abs(e) for e in self.exps) + len(self.u)
-
-    def length(self):
-        ends = 0 if self.cyclic else 2
-        return ends + self.middle_length()
-
     def with_exps(self, exps):
         return Syllable(self.left, self.right, exps, self.u)
 
     def key(self):
         return (self.left, self.right, self.exps, self.u)
-
-    def __eq__(self, other):
-        return isinstance(other, Syllable) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __repr__(self):
         return "Syllable(%r | %r | %r, u=%r)" % (
@@ -72,6 +61,14 @@ class Decomposition:
         self.blocks = tuple(blocks)  # (start, count, cyclic)
         cls = graph.adjdom_class(vertex)
         self.cls_order = tuple(sorted(cls, key=graph.index.get))
+
+    def with_exps(self, exps):
+        """The same frames with new class-exponent vectors, one per
+        syllable."""
+        return Decomposition(self.graph, self.vertex,
+                             [s.with_exps(e)
+                              for s, e in zip(self.syllables, exps)],
+                             self.blocks)
 
     def class_word(self, b):
         """The representative associated with one class of the decomposition."""
@@ -102,9 +99,6 @@ class Decomposition:
                 return False
         return True
 
-    def length(self):
-        return sum(s.length() - (0 if s.cyclic else 1) for s in self.syllables)
-
     def __repr__(self):
         return "Decomposition(%s)" % (list(self.syllables),)
 
@@ -119,8 +113,7 @@ def decompose(g, a, tup: ClassTuple) -> Decomposition:
     """The deterministic decomposition: scan each canonical representative,
     cutting before each letter outside st(a), starting at the first one."""
     star = g.star(a)
-    cls_set = g.adjdom_class(a)
-    cls_order = sorted(cls_set, key=g.index.get)
+    cls_order = sorted(g.adjdom_class(a), key=g.index.get)
     sylls = []
     blocks = []
     for cls in tup.entries:
@@ -128,14 +121,8 @@ def decompose(g, a, tup: ClassTuple) -> Decomposition:
         outside = [i for i, (gen, _) in enumerate(word) if gen not in star]
         start = len(sylls)
         if not outside:
-            exps = [0] * len(cls_order)
-            u = []
-            for gen, s in word:
-                if gen in cls_set:
-                    exps[cls_order.index(gen)] += s
-                else:
-                    u.append((gen, s))
-            sylls.append(Syllable(None, None, exps, u))
+            sylls.append(Syllable(None, None,
+                                  *_split_middle(word, cls_order)))
             blocks.append((start, 1, True))
             continue
         rot = word[outside[0]:] + word[:outside[0]]
@@ -143,16 +130,22 @@ def decompose(g, a, tup: ClassTuple) -> Decomposition:
         for idx, c in enumerate(cuts):
             nxt = cuts[(idx + 1) % len(cuts)]
             middle = rot[c + 1:nxt] if idx + 1 < len(cuts) else rot[c + 1:]
-            exps = [0] * len(cls_order)
-            u = []
-            for gen, s in middle:
-                if gen in cls_set:
-                    exps[cls_order.index(gen)] += s
-                else:
-                    u.append((gen, s))
-            sylls.append(Syllable(rot[c], rot[nxt], exps, u))
+            sylls.append(Syllable(rot[c], rot[nxt],
+                                  *_split_middle(middle, cls_order)))
         blocks.append((start, len(cuts), False))
     return Decomposition(g, a, sylls, blocks)
+
+
+def _split_middle(middle, cls_order):
+    """(class-exponent vector, the other letters in order) of a middle."""
+    exps = [0] * len(cls_order)
+    u = []
+    for gen, s in middle:
+        if gen in cls_order:
+            exps[cls_order.index(gen)] += s
+        else:
+            u.append((gen, s))
+    return exps, u
 
 
 def nu_syllable(g, a, s: Syllable):
@@ -219,10 +212,9 @@ def act_on_decomposition(wh: GenWhitehead, d: Decomposition) -> Decomposition:
     new = []
     for s in d.syllables:
         col = nu_syllable(g, a, s)
-        newexps = tuple(
-            sum(mat[i][j] * col[j] for j in range(len(col))) for i in range(n))
-        new.append(s.with_exps(newexps))
-    out = Decomposition(g, a, new, d.blocks)
+        new.append(tuple(sum(mat[i][j] * col[j] for j in range(len(col)))
+                         for i in range(n)))
+    out = d.with_exps(new)
     src = d.associated_tuple()
     if not out.represents(wh.aut.apply_to_tuple(src)):
         raise AssertionError("syllable action produced an invalid "
@@ -245,10 +237,10 @@ def length_delta(wh: GenWhitehead, d: Decomposition) -> int:
     return delta
 
 
-def matching_permutations(d: Decomposition, tup: ClassTuple,
-                          budget=200_000) -> list:
+def matching_permutations(d: Decomposition, tup: ClassTuple) -> list:
     """All permutations of the source decomposition's syllables that are
-    valid decompositions of ``tup``, found by chained backtracking.
+    valid decompositions of ``tup``, found by chained backtracking of at most
+    ``MATCHING_BUDGET`` steps.
 
     Results are deduplicated by syllable sequence.
     """
@@ -268,8 +260,9 @@ def matching_permutations(d: Decomposition, tup: ClassTuple,
 
     def place(block, slot, used, acc):
         steps[0] += 1
-        if steps[0] > budget:
-            raise BudgetError("permutation matching budget exceeded")
+        if steps[0] > MATCHING_BUDGET:
+            raise BudgetError.exceeded("matching_permutations steps",
+                                       steps[0], MATCHING_BUDGET)
         if block == len(counts):
             key = tuple(s.key() for s in acc)
             if key not in seen:

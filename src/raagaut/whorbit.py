@@ -11,7 +11,7 @@ restriction demands it).
 from __future__ import annotations
 
 from .aut import (Automorphism, GenWhitehead, compose_gw, eta,
-                  identity_automorphism, support, theta, za_basis)
+                  identity_automorphism, support, theta, za_basis, za_dims)
 from .core import ClassTuple, InputError, parse_word
 from .exactmat import mat_mul
 from .linalg import (BlockMatrix, LabeledGraph, Presentation,
@@ -58,22 +58,23 @@ def zero_columns_from_support(g, a, S):
     return frozenset(cols)
 
 
-def _exponent_rows(g, a, mat):
-    n = len(g.adjdom_class(a))
-    return tuple(mat[i] for i in range(n))
-
-
-def _substitute(source: Decomposition, exps_mat):
-    """Source frames with the class exponents replaced column by column."""
-    n = len(source.cls_order)
-    new = []
-    for j, s in enumerate(source.syllables):
-        new.append(s.with_exps(tuple(exps_mat[i][j] for i in range(n))))
-    return Decomposition(source.graph, source.vertex, new, source.blocks)
+def _substitutions(T: Decomposition, Tv: Decomposition, V: ClassTuple):
+    """The decompositions of V on the frames of T: T with the class
+    exponents of each permutation of Tv that decomposes V, each exponent
+    assignment once."""
+    seen = set()
+    for perm in matching_permutations(Tv, V):
+        exps = tuple(s.exps for s in perm.syllables)
+        if exps in seen:
+            continue
+        seen.add(exps)
+        cand = T.with_exps(exps)
+        if cand.represents(V):
+            yield cand
 
 
 def wh_orbit_decide(g, a, S, U: ClassTuple, V: ClassTuple,
-                    max_vertices=None, perm_budget=200_000):
+                    max_vertices=None):
     """An element of the support-restricted Whitehead group of [a] carrying
     U to V, or None.
 
@@ -86,21 +87,10 @@ def wh_orbit_decide(g, a, S, U: ClassTuple, V: ClassTuple,
         if syllable_count(g, a, cu) != syllable_count(g, a, cv):
             return None
     T = decompose(g, a, U)
-    Tv = decompose(g, a, V)
     zc = zero_columns_from_support(g, a, S)
-    n, k = len(g.adjdom_class(a)), len(za_basis(g, a)) - len(
-        g.adjdom_class(a))
+    n, k = za_dims(g, a)
     nuT = nu_matrix(T)
-    tried = set()
-    for perm in matching_permutations(Tv, V, budget=perm_budget):
-        target = nu_matrix(perm)
-        exps = _exponent_rows(g, a, target)
-        if exps in tried:
-            continue
-        tried.add(exps)
-        cand = _substitute(T, exps)
-        if not cand.represents(V):
-            continue
+    for cand in _substitutions(T, decompose(g, a, V), V):
         cert = g1_orbit_decide(nuT, nu_matrix(cand), n, k, zc,
                                max_vertices=max_vertices)
         if cert.witness is None:
@@ -115,40 +105,27 @@ def wh_orbit_decide(g, a, S, U: ClassTuple, V: ClassTuple,
     return None
 
 
-def wh_stabilizer_presentation(g, a, S, U: ClassTuple, max_vertices=None,
-                               perm_budget=200_000):
+def wh_stabilizer_presentation(g, a, S, U: ClassTuple, max_vertices=None):
     """Finite presentation of the support-restricted stabilizer of U in the
     Whitehead group of [a].
 
-    Returns (presentation, ctx) where the context can rewrite further
-    stabilizer elements over the returned generators.
+    Returns (presentation, rewrite) where ``rewrite`` writes further
+    stabilizer elements (automorphisms) over the returned generators.
     """
     S = frozenset(S)
     T1 = decompose(g, a, U)
     zc = zero_columns_from_support(g, a, S)
-    n = len(g.adjdom_class(a))
-    k = len(za_basis(g, a)) - n
+    n, k = za_dims(g, a)
     nu1 = nu_matrix(T1)
-
     # candidate vertices: distinct exponent targets from valid permutations
-    targets = []
-    seen = set()
-    for perm in matching_permutations(T1, U, budget=perm_budget):
-        exps = _exponent_rows(g, a, nu_matrix(perm))
-        if exps in seen:
-            continue
-        seen.add(exps)
-        cand = _substitute(T1, exps)
-        if cand.represents(U):
-            targets.append(nu_matrix(cand))
+    targets = [nu_matrix(cand) for cand in _substitutions(T1, T1, U)]
 
-    pres_matrix, mctx = g1_stabilizer_presentation(nu1, n, k, zc,
-                                                   max_vertices=max_vertices)
+    pres_matrix, mrewrite = g1_stabilizer_presentation(
+        nu1, n, k, zc, max_vertices=max_vertices)
     s2 = [(name, theta_of_block(g, a, payload))
           for name, payload in pres_matrix.generators]
 
-    vertices = [nu1]
-    transversal = {nu1: BlockMatrix.identity(n, k)}
+    transversal = {}  # vertex -> its transversal letter (name, element)
     s1 = []
     for target in targets:
         if target == nu1:
@@ -157,33 +134,39 @@ def wh_stabilizer_presentation(g, a, S, U: ClassTuple, max_vertices=None,
                                max_vertices=max_vertices)
         if cert.witness is None:
             continue
-        vertices.append(target)
-        transversal[target] = cert.witness
         s1.append(("t%d" % len(s1), theta_of_block(g, a, cert.witness)))
+        transversal[target] = s1[-1]
 
     graph = LabeledGraph()
-    for v in vertices:
+    for v in [nu1] + list(transversal):
         graph.add_vertex(v)
-    labelled = list(s1) + s2
-    for name, wh in labelled:
+    for name, wh in s1 + s2:
         mat = eta(g, a, wh.aut)
-        for v in vertices:
+        for v in graph.payloads:
             img = mat_mul(mat, v)
             if img not in graph.vindex:
                 raise AssertionError("stabilizer label leaves the vertex set")
             graph.add_edge(graph.vindex[v], graph.vindex[img], name, wh)
 
-    base = graph.vindex[nu1]
-
-    def rewriter(elem: GenWhitehead):
-        return mctx.rewrite(_block_of(g, a, elem.aut, n, k))
+    def rewrite(aut: Automorphism):
+        """Word over the presentation's generators for a stabilizer element
+        of the Whitehead group of [a]: move to the base vertex with a
+        transversal letter, then rewrite the matrix-stabilizer part."""
+        mat = eta(g, a, aut)
+        key = mat_mul(mat, nu1)
+        if key == nu1:
+            return mrewrite(_block_of(mat, n, k))
+        if key not in transversal:
+            raise InputError("element does not stabilize the tuple")
+        name, wh = transversal[key]
+        rest = eta(g, a, wh.aut.invert().compose(aut))
+        return ((name, 1),) + mrewrite(_block_of(rest, n, k))
 
     ident = GenWhitehead(identity_automorphism(g), a)
     pres = presentation_from_finite_index(
-        Presentation(s2, pres_matrix.relators), s1, graph, base, rewriter,
-        compose_gw, GenWhitehead.invert, ident)
-    ctx = WhStabCtx(g=g, a=a, mctx=mctx, n=n, k=k, transversal=transversal,
-                    vertices=vertices)
+        Presentation(s2, pres_matrix.relators), s1, graph,
+        graph.vindex[nu1], lambda elem: rewrite(elem.aut), compose_gw,
+        GenWhitehead.invert, ident)
     for name, wh in pres.generators:
         if wh.aut.apply_to_tuple(U) != U:
             raise AssertionError("stabilizer generator moves U")
@@ -191,35 +174,7 @@ def wh_stabilizer_presentation(g, a, S, U: ClassTuple, max_vertices=None,
             raise AssertionError("stabilizer generator violates the support "
                                  "restriction")
     pres.check_relators(compose_gw, GenWhitehead.invert, ident)
-    return pres, ctx
-
-
-class WhStabCtx:
-    __slots__ = ("g", "a", "mctx", "n", "k", "transversal", "vertices")
-
-    def __init__(self, **kw):
-        for key, val in kw.items():
-            setattr(self, key, val)
-
-    def rewrite(self, aut: Automorphism):
-        """Word over the presentation's generators for a stabilizer element
-        of the Whitehead group of [a]: move to the base vertex with a
-        transversal letter, then rewrite the matrix-stabilizer part."""
-        g, a = self.g, self.a
-        mat = eta(g, a, aut)
-        key = mat_mul(mat, self.vertices[0])
-        tnames = {v: "t%d" % i for i, v in enumerate(self.vertices[1:])}
-        if key == self.vertices[0]:
-            head = ()
-            rest = aut
-        else:
-            if key not in self.transversal:
-                raise InputError("element does not stabilize the tuple")
-            t = self.transversal[key]
-            head = ((tnames[key], 1),)
-            rest = theta_of_block(g, a, t).aut.invert().compose(aut)
-        return head + self.mctx.rewrite(_block_of(g, a, rest, self.n,
-                                                  self.k))
+    return pres, rewrite
 
 
 def theta_of_block(g, a, block):
@@ -229,8 +184,8 @@ def theta_of_block(g, a, block):
     return theta(g, a, mat)
 
 
-def _block_of(g, a, aut: Automorphism, n, k):
-    mat = eta(g, a, aut)
+def _block_of(mat, n, k):
+    """The block matrix of an ``eta`` matrix."""
     A = [[mat[i][j] for j in range(n)] for i in range(n)]
     B = [[mat[i][j] for j in range(n, n + k)] for i in range(n)]
     return BlockMatrix(n, k, A, B)

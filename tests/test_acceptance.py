@@ -68,7 +68,7 @@ def test_criterion_1_worked_matrix_example():
     NB, _ = gq_normal_form([[0], [0], [2]], 2, 1)
     ok &= mat_eq(N, NB)  # equal in the denominator-2 orbit
 
-    spres, ctx = g1_stabilizer_presentation(A, 2, 1)
+    spres, rewrite = g1_stabilizer_presentation(A, 2, 1)
     ok &= len(spres.generators) == 7 and len(spres.relators) == 15
     payloads = dict(spres.generators)
     for nm, p in spres.generators:
@@ -90,7 +90,7 @@ def test_criterion_1_worked_matrix_example():
     Qi = Q.inv()
     for x in listed:
         D = Qi.mul(x).mul(Q)
-        word = ctx.rewrite(D)
+        word = rewrite(D)
         ok &= evaluate_matrix_word(word, payloads) == D
     elapsed = time.time() - start
     ok &= elapsed < 1.0

@@ -215,6 +215,17 @@ def test_orbit_decide_running_example_pair(split):
     assert alpha.apply_to_tuple(U) == V
 
 
+def test_orbit_graph_cache_keeps_budgets_apart(split):
+    # the orbit graph of [a] holds eight tuples; one built under the default
+    # budget does not answer a call under a smaller one
+    U = class_tuple(split, [W("a")])
+    V = class_tuple(split, [W("c")])
+    assert aut_orbit_decide(split, U, V) is not None
+    with pytest.raises(BudgetError,
+                       match=r"^build_delta tuples 4 > budget 3$"):
+        aut_orbit_decide(split, U, V, max_vertices=3)
+
+
 def test_orbit_decide_arity_mismatch(f2):
     U = class_tuple(f2, [W("a")])
     V = class_tuple(f2, [W("a"), W("b")])

@@ -10,7 +10,7 @@ from raagaut.aut import (Automorphism, GenWhitehead, classic_whitehead,
                          za_basis, za_dims, conjugation_by,
                          conjugation_letter_factors)
 from raagaut.core import DefiningGraph, class_tuple, inverse_word, parse_word
-from raagaut.errors import InputError
+from raagaut.errors import BudgetError, InputError
 from raagaut.exactmat import mat_mul, mat_identity, mat_det
 
 from .oracles import brute_force_symmetries
@@ -145,6 +145,16 @@ def test_graph_symmetries_of_a_long_path():
                                    dict(zip(vs, reversed(vs)))]
 
 
+def test_permutation_budget_is_checked_during_the_symmetry_search():
+    # 9! symmetries times 2^9 signs; the search stops at the first
+    # symmetry past the budget and caches nothing
+    g = DefiningGraph(["v%d" % i for i in range(9)], [])
+    with pytest.raises(BudgetError, match=r"^permutation_automorphisms "
+                                          r"elements \d+ > budget 100000$"):
+        permutation_automorphisms(g)
+    assert "symmetries" not in g._cache
+
+
 def test_support_examples(split, path4):
     ident = identity_automorphism(split)
     assert support(GenWhitehead(ident, "a")) == frozenset()
@@ -198,7 +208,7 @@ def test_eta_identity(split):
 @pytest.mark.parametrize("graph_name", ["f2", "split", "path4"])
 def test_eta_homomorphism_and_theta_inverse(graph_name, request):
     g = request.getfixturevalue(graph_name)
-    rng = random.Random(hash(graph_name) & 0xffff)
+    rng = random.Random(graph_name)
     for a in g.vertices:
         for _ in range(12):
             x = random_whitehead(g, a, rng)

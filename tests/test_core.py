@@ -197,6 +197,12 @@ def test_canonical_class_budget_names_counter(split):
         canonical_class(split, W("a b c d") * 3, budget=5)
 
 
+def test_budget_error_names_counter_value_and_budget():
+    err = BudgetError.exceeded("build_delta tuples", 4, 3)
+    assert isinstance(err, BudgetError)
+    assert str(err) == "build_delta tuples 4 > budget 3"
+
+
 def test_cyclic_reduce_all_rotations_reduced(split):
     w = cyclically_reduce(split, W("a c a^-1 d"))
     for r in range(len(w)):

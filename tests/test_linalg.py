@@ -119,7 +119,7 @@ def test_example_stabilizer_presentation_counts():
 
 
 def test_example_listed_generators_in_subgroup():
-    pres, ctx = g1_stabilizer_presentation(EXAMPLE_A, 2, 1)
+    pres, rewrite = g1_stabilizer_presentation(EXAMPLE_A, 2, 1)
     payloads = {nm: p for nm, p in pres.generators}
     a = BlockMatrix(2, 1, [[1, 1], [0, 1]], [[0], [0]])
     b = BlockMatrix(2, 1, [[1, 0], [1, 1]], [[0], [0]])
@@ -148,7 +148,7 @@ def test_example_listed_generators_in_subgroup():
         if i >= 2:
             assert D == BlockMatrix.from_full(2, 1, listed_explicit[i - 2])
         assert mat_eq(D.act(EXAMPLE_A), ((1,), (0,), (2,)))
-        word = ctx.rewrite(D)
+        word = rewrite(D)
         assert evaluate_matrix_word(word, payloads) == D
 
 

@@ -4,7 +4,9 @@ from itertools import permutations
 import pytest
 
 from raagaut.aut import GenWhitehead, make_whitehead, theta, za_basis
+from raagaut import syllables
 from raagaut.core import ClassTuple, canonical_class, class_tuple, parse_word
+from raagaut.errors import BudgetError
 from raagaut.syllables import (Decomposition, act_on_decomposition, decompose,
                                length_delta, matching_permutations, nu,
                                nu_matrix, syllable_count)
@@ -175,6 +177,14 @@ def test_matching_permutations_running_example(split):
     perms = matching_permutations(Tp, V)
     exps = {tuple(s.exps for s in p.syllables) for p in perms}
     assert ((1, 1), (0, 1), (0, 1)) in exps
+
+
+def test_matching_permutations_budget_names_counter(split, monkeypatch):
+    monkeypatch.setattr(syllables, "MATCHING_BUDGET", 1)
+    U = class_tuple(split, [W("c b c a b c b")])
+    with pytest.raises(BudgetError,
+                       match=r"^matching_permutations steps 2 > budget 1$"):
+        matching_permutations(decompose(split, "a", U), U)
 
 
 def test_matching_permutations_single_cyclic(split):

@@ -152,7 +152,7 @@ def test_stabilizer_generators_fix_and_relators_trivial(split):
 
 def test_stabilizer_rewrite_roundtrip(split):
     U = class_tuple(split, [W("c a c b")])
-    pres, ctx = wh_stabilizer_presentation(split, "a", frozenset(), U)
+    pres, rewrite = wh_stabilizer_presentation(split, "a", frozenset(), U)
     payloads = {nm: wh for nm, wh in pres.generators}
     rng = random.Random(11)
     names = [nm for nm, _ in pres.generators]
@@ -164,7 +164,7 @@ def test_stabilizer_rewrite_roundtrip(split):
         for nm, s in word:
             wh = payloads[nm] if s > 0 else payloads[nm].invert()
             elem = wh if elem is None else compose_gw(wh, elem)
-        back = ctx.rewrite(elem.aut)
+        back = rewrite(elem.aut)
         val = evaluate_word(back, {nm: wh.aut for nm, wh in payloads.items()
                                    },
                             lambda x, y: x.compose(y),
