@@ -135,6 +135,22 @@ def build_parser():
     return ap
 
 
+# The commands whose searches read each budget flag; elsewhere the flag is
+# an input error rather than a silent no-op.
+BUDGET_FLAGS = (
+    ("max_vertices", "--max-vertices",
+     ("orbit", "stab-gens", "stab-pres", "wh-orbit", "wh-stab",
+      "matrix-orbit", "matrix-stab")),
+    ("max_depth", "--max-depth", ("peak-reduce",)),
+)
+
+
+def check_budget_flags(args):
+    for attr, flag, commands in BUDGET_FLAGS:
+        if getattr(args, attr) is not None and args.command not in commands:
+            raise InputError("%s does not apply to %s" % (flag, args.command))
+
+
 def need_graph(args):
     if not args.graph:
         raise InputError("--graph is required")
@@ -378,6 +394,7 @@ COMMANDS = {
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
+        check_budget_flags(args)
         return COMMANDS[args.command](args)
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)

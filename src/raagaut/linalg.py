@@ -3,18 +3,23 @@ GL(n,Z) x M_{n,k}(Q) acting on (n+k)-row matrices, stabilizer presentations,
 the mod-d crossed homomorphism, Schreier graphs, and the two presentation
 combinators (finite-index overgroup, finite covering complex).
 
-All arithmetic is exact: Python integers and Fractions throughout.
+All arithmetic is exact.  A block matrix keeps its rational block as an
+integer numerator block over one denominator, so products and inverses in
+the block group run on integers (only ``int_inverse`` of the top-left block
+eliminates over Fractions); row reduction of the matrices acted on runs in
+Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm
 
 from .core import power_word
 from .errors import BudgetError, InputError
-from .exactmat import (hermite, int_inverse, lcm, lcm_of_denominators,
-                       mat_det, mat_eq, mat_identity, mat_mul, rref,
-                       solve_right)
+from .exactmat import (hermite, int_inverse, lcm_of_denominators, mat_det,
+                       mat_eq, mat_identity, mat_mul, rref, solve_right)
 
 SCHREIER_VERTEX_BUDGET = 1_000_000
 
@@ -22,9 +27,12 @@ SCHREIER_VERTEX_BUDGET = 1_000_000
 class BlockMatrix:
     """Element of GL(n,Z) x M_{n,k}(Q): block upper triangular with integer
     determinant-+-1 top-left block A, rational top-right block B, identity
-    bottom-right."""
+    bottom-right.
 
-    __slots__ = ("n", "k", "A", "B")
+    B is stored as an integer block ``num`` over one positive denominator
+    ``den``, in lowest terms, so products and inverses run in integers."""
+
+    __slots__ = ("n", "k", "A", "num", "den")
 
     def __init__(self, n, k, A, B):
         self.n = n
@@ -32,17 +40,37 @@ class BlockMatrix:
         self.A = tuple(tuple(int(x) for x in row) for row in A)
         if self.A != tuple(map(tuple, A)):
             raise InputError("top-left block must be integral")
-        self.B = tuple(tuple(Fraction(x) for x in row) for row in B)
+        # ints and Fractions already carry a numerator and a denominator
+        B = [[x if isinstance(x, (int, Fraction)) else Fraction(x)
+              for x in row] for row in B]
+        den = lcm(*(x.denominator for row in B for x in row))
+        self.num = tuple(tuple(x.numerator * (den // x.denominator)
+                               for x in row) for row in B)
+        self.den = den
         if len(self.A) != n or any(len(r) != n for r in self.A):
             raise InputError("bad A block shape")
-        if len(self.B) != n or any(len(r) != k for r in self.B):
+        if len(B) != n or any(len(r) != k for r in B):
             raise InputError("bad B block shape")
         if mat_det(self.A) not in (1, -1):
             raise InputError("top-left block must have determinant +-1")
 
     @classmethod
+    def _reduced(cls, n, k, A, num, den):
+        """The element [[A, num/den], [0, I]] from integer blocks, with
+        num/den brought to lowest terms."""
+        g = gcd(den, *(x for row in num for x in row))
+        if g != 1:
+            num = tuple(tuple(x // g for x in row) for row in num)
+            den //= g
+        if mat_det(A) not in (1, -1):
+            raise InputError("top-left block must have determinant +-1")
+        self = cls.__new__(cls)
+        self.n, self.k, self.A, self.num, self.den = n, k, A, num, den
+        return self
+
+    @classmethod
     def identity(cls, n, k):
-        return cls(n, k, mat_identity(n), [[0] * k for _ in range(n)])
+        return cls._reduced(n, k, mat_identity(n), ((0,) * k,) * n, 1)
 
     @classmethod
     def from_full(cls, n, k, M):
@@ -56,10 +84,16 @@ class BlockMatrix:
         B = [[M[i][j] for j in range(n, n + k)] for i in range(n)]
         return cls(n, k, A, B)
 
+    @property
+    def B(self):
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
+
     def full(self):
         rows = []
+        B = self.B
         for i in range(self.n):
-            rows.append(tuple(Fraction(x) for x in self.A[i]) + self.B[i])
+            rows.append(tuple(Fraction(x) for x in self.A[i]) + B[i])
         for i in range(self.k):
             rows.append(tuple(
                 Fraction(1) if j == self.n + i else Fraction(0)
@@ -67,30 +101,34 @@ class BlockMatrix:
         return tuple(rows)
 
     def mul(self, other: "BlockMatrix") -> "BlockMatrix":
-        A = mat_mul(self.A, other.A)
-        AB = mat_mul(self.A, other.B)
-        B = tuple(tuple(x + y for x, y in zip(r1, r2))
-                  for r1, r2 in zip(AB, self.B))
-        return BlockMatrix(self.n, self.k, A, B)
+        """[[A, B], [0, I]] [[A', B'], [0, I]] = [[A A', A B' + B], [0, I]],
+        over the common denominator lcm(den, den')."""
+        den = lcm(self.den, other.den)
+        f, g = den // other.den, den // self.den
+        AB = mat_mul(self.A, other.num)
+        num = tuple(tuple(x * f + y * g for x, y in zip(r1, r2))
+                    for r1, r2 in zip(AB, self.num))
+        return BlockMatrix._reduced(self.n, self.k,
+                                    mat_mul(self.A, other.A), num, den)
 
     def inv(self) -> "BlockMatrix":
         Ainv = int_inverse(self.A)
-        B = mat_mul(Ainv, self.B)
-        B = tuple(tuple(-x for x in row) for row in B)
-        return BlockMatrix(self.n, self.k, Ainv, B)
+        num = tuple(tuple(-x for x in row)
+                    for row in mat_mul(Ainv, self.num))
+        return BlockMatrix._reduced(self.n, self.k, Ainv, num, self.den)
 
     def denominator(self):
-        return lcm_of_denominators(x for row in self.B for x in row)
+        return self.den
 
     def is_integral(self):
-        return self.denominator() == 1
+        return self.den == 1
 
     def act(self, rows):
         """Left action on an (n+k)-row matrix."""
         return mat_mul(self.full(), rows)
 
     def key(self):
-        return (self.n, self.k, self.A, self.B)
+        return (self.n, self.k, self.A, self.num, self.den)
 
     def __eq__(self, other):
         return isinstance(other, BlockMatrix) and self.key() == other.key()
@@ -108,16 +146,10 @@ def target_lcd(rows):
 
 def rho(Q: BlockMatrix, d):
     """Residue of the rational block: (d*B) mod d, entrywise."""
-    out = []
-    for row in Q.B:
-        new = []
-        for x in row:
-            v = x * d
-            if v.denominator != 1:
-                raise InputError("matrix is not in the denominator-d group")
-            new.append(int(v) % d)
-        out.append(tuple(new))
-    return tuple(out)
+    if d % Q.den:
+        raise InputError("matrix is not in the denominator-d group")
+    f = d // Q.den
+    return tuple(tuple(x * f % d for x in row) for row in Q.num)
 
 
 # -- normal form -----------------------------------------------------------
@@ -220,15 +252,31 @@ class Presentation:
 
     def check_relators(self, mul, inv, identity):
         """Raise AssertionError unless every relator, evaluated on the
-        generators' payloads, is the identity."""
-        payloads = dict(self.generators)
+        generators' payloads, is the identity.  Each generator is inverted
+        once."""
+        letters = letter_table(self.generators, inv)
         for rel in self.relators:
-            if evaluate_word(rel, payloads, mul, inv, identity) != identity:
+            if fold_word(rel, letters, mul, identity) != identity:
                 raise AssertionError("relator is not the identity")
 
 
 def invert_pword(word):
     return tuple((name, -s) for name, s in reversed(word))
+
+
+def letter_table(named, inv):
+    """(name, +-1) -> element for named generators: each payload and its
+    inverse."""
+    letters = {}
+    for name, p in named:
+        letters[(name, 1)] = p
+        letters[(name, -1)] = inv(p)
+    return letters
+
+
+def fold_word(word, letters, mul, identity):
+    """The left-to-right product of a word over a ``letter_table``."""
+    return reduce(mul, map(letters.__getitem__, word), identity)
 
 
 def evaluate_word(word, payloads, mul, inv, identity):
@@ -327,13 +375,13 @@ def gl_presentation(m) -> Presentation:
     cmat = dict(gens)["c"]
     cinv = int_inverse(cmat)
     action = {}
-    payloads = dict(sl_gens)
+    letters = letter_table(sl_gens, int_inverse)
     for gname, gmat in sl_gens:
         conj = mat_mul(mat_mul(cmat, gmat), cinv)
         word = gl_word(conj)
         action[("c", gname)] = word
-        if not mat_eq(evaluate_word(word, payloads, mat_mul, int_inverse,
-                                    mat_identity(m)), conj):
+        if not mat_eq(fold_word(word, letters, mat_mul, mat_identity(m)),
+                      conj):
             raise AssertionError("inversion action word is wrong")
     top = Presentation([("c", cmat)], [((("c", 1),) * 2)])
     return semidirect_presentation(top, sl_pres, action)
@@ -457,9 +505,9 @@ def gl_word(C):
     # ops in order turned the det-one part M0 into I: op_r ... op_1 M0 = I,
     # so M0 = op_1^-1 op_2^-1 ... op_r^-1, read left to right.
     word.extend(power_word((ename(i, j), -q) for i, j, q in ops))
-    gens_all = dict(gl_generator_matrices(m))
-    check = evaluate_word(tuple(word), gens_all, mat_mul, int_inverse,
-                          mat_identity(m))
+    check = fold_word(word, letter_table(gl_generator_matrices(m),
+                                         int_inverse),
+                      mat_mul, mat_identity(m))
     if not mat_eq(check, C):
         raise AssertionError("GL word reconstruction failed")
     return tuple(word)
@@ -789,8 +837,9 @@ def gd_stab_word(X: BlockMatrix, struct: StabStructure):
     GL(n-l,Z) word."""
     n, k, l = struct.n, struct.k, struct.l
     word = []
+    B = X.B
     for i in range(n):
-        coeffs = solve_int_combo(struct.K_basis, X.B[i])
+        coeffs = solve_int_combo(struct.K_basis, B[i])
         if coeffs is None:
             raise InputError("translation part is not in the kernel lattice")
         word.extend(power_word(("k_%d_%d" % (i + 1, t + 1), c)

@@ -273,3 +273,30 @@ def test_usage_errors_are_input_errors(files, capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["-h"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("flag,command", [
+    ("--max-vertices", ["reduce", "--graph", "{f2}", "--word", "a"]),
+    ("--max-vertices", ["conj", "--graph", "{f2}", "--word", "a",
+                        "--word2", "b"]),
+    ("--max-vertices", ["minimize", "--graph", "{f2}", "--tuple", "a b a"]),
+    ("--max-vertices", ["peak-reduce", "--graph", "{f2}", "--tuple", "a",
+                        "--aut", "{aut}"]),
+    ("--max-vertices", ["matrix-nf", "--matrix", "{example}"]),
+    ("--max-depth", ["orbit", "--graph", "{f2}", "--tuple", "a",
+                     "--tuple2", "b"]),
+    ("--max-depth", ["stab-pres", "--graph", "{f2}", "--tuple", "a"]),
+    ("--max-depth", ["matrix-stab", "--matrix", "{example}"]),
+])
+def test_budget_flags_outside_their_searches_are_input_errors(
+        files, capsys, tmp_path, flag, command):
+    aut = tmp_path / "aut.json"
+    aut.write_text(json.dumps(F2_AUT))
+    argv = [a.format(aut=aut, **files) for a in command]
+    code, out, err = run(argv + [flag, "1", "--json"], capsys)
+    assert code == 1 and out == ""
+    assert err == "input error: %s does not apply to %s\n" % (flag,
+                                                               argv[0])
+    # without the flag the same query answers
+    code, out, err = run(argv + ["--json"], capsys)
+    assert code == 0 and err == ""

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -15,6 +16,8 @@ from raagaut.linalg import (BlockMatrix, LabeledGraph, Presentation,
                             presentation_from_finite_index, rho,
                             schreier_g1_in_gd, semidirect_presentation,
                             target_lcd)
+
+from .oracles import fraction_inverse
 
 EXAMPLE_A = [[1], [0], [2]]
 
@@ -427,3 +430,105 @@ def test_block_matrix_rejects_non_integral_top_left():
     with pytest.raises(InputError, match="^top-left block must be integral$"):
         BlockMatrix.from_full(1, 1, [[Fraction(1, 2), 0], [0, 1]])
     assert BlockMatrix(1, 0, [[Fraction(-2, 2)]], [[]]).A == ((-1,),)
+
+
+# -- integer block arithmetic against Fraction matrices -------------------------
+
+def random_block(rng, n, k):
+    A = unimodular(rng, n)
+    B = [[Fraction(rng.randint(-12, 12), rng.randint(1, 12)) for _ in range(k)]
+         for _ in range(n)]
+    return BlockMatrix(n, k, A, B)
+
+
+def split_full(M, n):
+    """(A, B) blocks of a full (n+k)-row matrix."""
+    return (tuple(tuple(row[:n]) for row in M[:n]),
+            tuple(tuple(row[n:]) for row in M[:n]))
+
+
+def assert_lowest_terms(X):
+    assert X.den > 0
+    assert gcd(X.den, *(x for row in X.num for x in row)) == 1
+    assert X.B == tuple(tuple(Fraction(x, X.den) for x in row)
+                        for row in X.num)
+
+
+def test_block_products_and_inverses_match_fraction_matrices():
+    rng = random.Random(15)
+    for _ in range(400):
+        n, k = rng.randint(1, 3), rng.randint(0, 3)
+        X, Y = random_block(rng, n, k), random_block(rng, n, k)
+        for Z, full in ((X.mul(Y), mat_mul(X.full(), Y.full())),
+                        (X.inv(), fraction_inverse(X.full()))):
+            assert (Z.A, Z.B) == split_full(full, n)
+            assert Z.full() == full
+            assert_lowest_terms(Z)
+        assert X.mul(X.inv()) == BlockMatrix.identity(n, k)
+
+
+def test_block_spellings_are_equal_and_hash_equal():
+    A = [[1, 1], [0, 1]]
+    spellings = [
+        BlockMatrix(2, 2, A, [[Fraction(2, 4), 3], [Fraction(-6, 3), 0]]),
+        BlockMatrix(2, 2, A, [[Fraction(1, 2), Fraction(3)],
+                              [-2, Fraction(0, 5)]]),
+        BlockMatrix(2, 2, ((Fraction(2, 2), 1), (0, 1)),
+                    [[Fraction(3, 6), Fraction(9, 3)], [Fraction(-2), 0]]),
+        BlockMatrix.from_full(2, 2, [[1, 1, Fraction(1, 2), 3],
+                                     [0, 1, -2, 0], [0, 0, 1, 0],
+                                     [0, 0, 0, 1]]),
+    ]
+    X = spellings[0]
+    spellings += [X.mul(BlockMatrix.identity(2, 2)), X.inv().inv()]
+    for Y in spellings:
+        assert Y == X and hash(Y) == hash(X)
+        assert (Y.num, Y.den) == (((1, 6), (-4, 0)), 2)
+    assert X != BlockMatrix(2, 2, A, [[1, 3], [-2, 0]])
+    assert BlockMatrix(1, 1, [[1]], [[Fraction(3, 3)]]).den == 1
+    assert BlockMatrix(1, 0, [[1]], [[]]).den == 1
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: BlockMatrix(2, 1, [[1, 0]], [[0], [0]]), "bad A block shape"),
+    (lambda: BlockMatrix(2, 1, [[1, 0], [0]], [[0], [0]]),
+     "bad A block shape"),
+    (lambda: BlockMatrix(2, 1, [[1, 0], [0, 1]], [[0]]), "bad B block shape"),
+    (lambda: BlockMatrix(2, 1, [[1, 0], [0, 1]], [[0], [Fraction(1, 2), 0]]),
+     "bad B block shape"),
+    (lambda: BlockMatrix(1, 0, [[2]], [[]]),
+     "top-left block must have determinant \\+-1"),
+    (lambda: BlockMatrix.from_full(1, 1, [[1, 0], [1, 1]]),
+     "matrix is not block upper triangular with identity bottom"),
+    (lambda: rho(BlockMatrix(1, 1, [[1]], [[Fraction(1, 3)]]), 2),
+     "matrix is not in the denominator-d group"),
+])
+def test_block_matrix_errors(build, message):
+    with pytest.raises(InputError, match="^%s$" % message):
+        build()
+
+
+def test_check_relators_inverts_each_generator_once(monkeypatch):
+    pres, _ = g1_stabilizer_presentation(EXAMPLE_A, 2, 1)
+    inverse_letters = sum(s < 0 for rel in pres.relators for _, s in rel)
+    assert inverse_letters > len(pres.generators)
+    inverted = []
+    inv = BlockMatrix.inv
+
+    def counting_inv(self):
+        inverted.append(self)
+        return inv(self)
+
+    monkeypatch.setattr(BlockMatrix, "inv", counting_inv)
+    ident = BlockMatrix.identity(2, 1)
+    pres.check_relators(BlockMatrix.mul, BlockMatrix.inv, ident)
+    assert inverted == [p for _, p in pres.generators]
+    # a generator whose rational block is shifted breaks some relator
+    for i, (name, p) in enumerate(pres.generators):
+        gens = list(pres.generators)
+        gens[i] = (name, BlockMatrix(2, 1, p.A,
+                                     [[x + 1 for x in row] for row in p.B]))
+        with pytest.raises(AssertionError,
+                           match="^relator is not the identity$"):
+            Presentation(gens, pres.relators).check_relators(
+                BlockMatrix.mul, BlockMatrix.inv, ident)
