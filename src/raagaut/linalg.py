@@ -43,7 +43,7 @@ class BlockMatrix:
         # ints and Fractions already carry a numerator and a denominator
         B = [[x if isinstance(x, (int, Fraction)) else Fraction(x)
               for x in row] for row in B]
-        den = lcm(*(x.denominator for row in B for x in row))
+        den = lcm(*[x.denominator for row in B for x in row])
         self.num = tuple(tuple(x.numerator * (den // x.denominator)
                                for x in row) for row in B)
         self.den = den
@@ -58,7 +58,7 @@ class BlockMatrix:
     def _reduced(cls, n, k, A, num, den):
         """The element [[A, num/den], [0, I]] from integer blocks, with
         num/den brought to lowest terms."""
-        g = gcd(den, *(x for row in num for x in row))
+        g = gcd(den, *[x for row in num for x in row])
         if g != 1:
             num = tuple(tuple(x // g for x in row) for row in num)
             den //= g
