@@ -19,15 +19,15 @@ from __future__ import annotations
 
 from .aut import (Automorphism, conjugation_by, conjugation_letter_factors,
                   enumerate_classic_whitehead, identity_automorphism,
-                  is_long_range, permutation_automorphisms, support, za_dims)
+                  is_long_range, permutation_automorphisms, support, theta,
+                  za_dims)
 from .core import ClassTuple, canonical_class, reduce_word
 from .errors import BudgetError, InputError
 from .linalg import LabeledGraph, Presentation, g1_orbit_decide
 from .peak import (classic_factor_list, fixes_class_pointwise,
                    long_range_peak_reduce)
 from .syllables import decompose, nu_matrix
-from .whorbit import (theta_of_block, wh_stabilizer_presentation,
-                      zero_columns_from_support)
+from .whorbit import wh_stabilizer_presentation, zero_columns_from_support
 
 DELTA_VERTEX_BUDGET = 2000
 Z_VERTEX_BUDGET = 60
@@ -138,7 +138,7 @@ def wh_reachable(g, a, U: ClassTuple, shorter=False, zero_columns=frozenset(),
         cert = g1_orbit_decide(nuT, nu_matrix(cand), n, k, zero_columns)
         if cert.witness is None:
             continue
-        wh = theta_of_block(g, a, cert.witness)
+        wh = theta(g, a, cert.witness)
         if wh.aut.apply_to_tuple(U) != target:
             raise AssertionError("sweep witness does not map to its target")
         seen_targets.add(target)

@@ -17,7 +17,7 @@ from .core import (InputError, Word, canonical_class, format_word,
                    inverse_word, lexnf, parse_word, power_word, reduce_word,
                    ClassTuple)
 from .errors import BudgetError
-from .exactmat import int_inverse
+from .linalg import BlockMatrix
 
 PERMUTATION_BUDGET = 100_000
 CLASSIC_CHOICE_BUDGET = 200_000
@@ -36,6 +36,19 @@ class Automorphism:
         self._key = None
         if not _skip_check:
             self._validate()
+
+    @classmethod
+    def _from_reduced(cls, graph, images, inverse_images):
+        """An automorphism from images and inverse images that are already
+        reduced and known to be mutually inverse (products, inverses and
+        single-letter maps of validated automorphisms); nothing is reduced
+        or checked again."""
+        self = cls.__new__(cls)
+        self.graph = graph
+        self.images = images
+        self.inverse_images = inverse_images
+        self._key = None
+        return self
 
     def _validate(self):
         g = self.graph
@@ -62,7 +75,7 @@ class Automorphism:
         for gen, sign in word:
             img = imgs[gen]
             out.extend(img if sign > 0 else inverse_word(img))
-        return reduce_word(self.graph, tuple(out))
+        return reduce_word(self.graph, out)
 
     def apply_to_word(self, word) -> Word:
         return self._map_word(self.images, word)
@@ -86,11 +99,11 @@ class Automorphism:
         images = {v: self.apply_to_word(other.images[v]) for v in g.vertices}
         inv = {v: other.apply_inverse_to_word(self.inverse_images[v])
                for v in g.vertices}
-        return Automorphism(g, images, inv, _skip_check=True)
+        return Automorphism._from_reduced(g, images, inv)
 
     def invert(self) -> "Automorphism":
-        return Automorphism(self.graph, self.inverse_images, self.images,
-                            _skip_check=True)
+        return Automorphism._from_reduced(self.graph, self.inverse_images,
+                                          self.images)
 
     def key(self):
         if self._key is None:
@@ -147,7 +160,7 @@ class Automorphism:
 
 def identity_automorphism(g) -> Automorphism:
     ims = {v: ((v, 1),) for v in g.vertices}
-    return Automorphism(g, ims, dict(ims), _skip_check=True)
+    return Automorphism._from_reduced(g, ims, dict(ims))
 
 
 class GenWhitehead:
@@ -351,21 +364,34 @@ def eta(g, a, aut: Automorphism):
 def theta(g, a, matrix) -> GenWhitehead:
     """Inverse of eta: rebuild the automorphism from a block matrix of the
     required shape (invertible integer top-left block over [a], arbitrary
-    integer top-right block, identity bottom)."""
+    integer top-right block, identity bottom), given in full or as a
+    ``BlockMatrix``.  The inverse images come from ``BlockMatrix.inv``, which
+    inverts only the top-left block."""
     basis = za_basis(g, a)
     cls_order = [b for kind, b in basis if kind == "r" and b in g.adjdom_class(a)]
     n = len(cls_order)
     dim = len(basis)
-    if len(matrix) != dim or any(len(row) != dim for row in matrix):
-        raise InputError("matrix has wrong shape for this basis")
-    for i in range(n, dim):
-        for j in range(dim):
-            want = 1 if i == j else 0
-            if matrix[i][j] != want:
-                raise InputError("matrix bottom block is not the identity")
-    inv = int_inverse(matrix)  # raises if det is not +-1
+    if isinstance(matrix, BlockMatrix):
+        block = matrix
+        if (block.n, block.k) != (n, dim - n):
+            raise InputError("matrix has wrong shape for this basis")
+    else:
+        if len(matrix) != dim or any(len(row) != dim for row in matrix):
+            raise InputError("matrix has wrong shape for this basis")
+        for i in range(n, dim):
+            for j in range(dim):
+                want = 1 if i == j else 0
+                if matrix[i][j] != want:
+                    raise InputError("matrix bottom block is not the "
+                                     "identity")
+        # raises unless the top-left block has determinant +-1
+        block = BlockMatrix(n, dim - n, [row[:n] for row in matrix[:n]],
+                            [row[n:] for row in matrix[:n]])
+    if not block.is_integral():
+        raise InputError("matrix top-right block is not integral")
 
-    def images_from(mat):
+    def images_from(M):
+        mat = [x + y for x, y in zip(M.A, M.num)]
         ims = {}
         col = {b: j for j, b in enumerate(basis)}
 
@@ -389,7 +415,7 @@ def theta(g, a, matrix) -> GenWhitehead:
                     ims[v] = ((v, 1),)
         return ims
 
-    return make_whitehead(g, a, images_from(matrix), images_from(inv))
+    return make_whitehead(g, a, images_from(block), images_from(block.inv()))
 
 
 def inner_witness(g, a, aut: Automorphism):
@@ -432,7 +458,7 @@ def conjugation_by(g, word) -> Automorphism:
     winv = inverse_word(word)
     ims = {v: reduce_word(g, winv + ((v, 1),) + word) for v in g.vertices}
     inv = {v: reduce_word(g, word + ((v, 1),) + winv) for v in g.vertices}
-    return Automorphism(g, ims, inv, _skip_check=True)
+    return Automorphism._from_reduced(g, ims, inv)
 
 
 def conjugation_letter_factors(g, word):
@@ -509,7 +535,7 @@ def inversion(g, a) -> Automorphism:
     """The inversion a -> a^-1, fixing every other generator."""
     ims = {v: ((v, 1),) for v in g.vertices}
     ims[a] = ((a, -1),)
-    return Automorphism(g, ims, dict(ims), _skip_check=True)
+    return Automorphism._from_reduced(g, ims, dict(ims))
 
 
 def laurence_generators(g):

@@ -8,6 +8,7 @@ re-verified before printing; exit code 0 means the question was decided
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -105,7 +106,10 @@ def positive_int(text):
     return value
 
 
+@functools.cache
 def build_parser():
+    """The one parser of the process: ``parse_args`` keeps no state between
+    calls, so it is built on the first call and reused."""
     ap = ArgumentParser(
         prog="raagaut",
         description="Automorphism orbits, peak reduction and stabilizer "

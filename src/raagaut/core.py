@@ -8,6 +8,7 @@ generators commute iff they are adjacent in the defining graph, and every
 generator commutes with itself).  Graphically reduced words are exactly the
 length-minimal representatives, and any two of them for the same element
 differ by commutation moves; this is what all equality tests below lean on.
+``reduce_word`` reaches such a word in one stack pass.
 """
 
 from __future__ import annotations
@@ -185,33 +186,35 @@ def power_word(pairs) -> Word:
 
 
 def reduce_word(g: DefiningGraph, word) -> Word:
-    """Graphically reduce a word by deleting cancellable pairs to a fixpoint.
+    """Graphically reduce a word in one left-to-right pass over a stack.
 
-    Any maximal deletion sequence reaches minimal length (Servatius), so a
-    plain scan-and-delete loop is already correct.  Letters are not checked
-    here: words from outside the program are checked where they are parsed.
+    Each incoming letter scans back through the stack, past letters that
+    commute with it (letters of its own generator included), up to the
+    first letter that does not.  It cancels against the leftmost inverse it
+    reached, or else is pushed.  The result is the word that deleting the
+    leftmost cancellable pair to a fixpoint gives, and any maximal deletion
+    sequence reaches minimal length (Servatius).  ``word`` may be any
+    iterable of letters.  Letters are not checked here: words from outside
+    the program are checked where they are parsed.
     """
-    letters = list(word)
-    changed = True
-    while changed:
-        changed = False
-        n = len(letters)
-        for i in range(n):
-            gi, si = letters[i]
-            for j in range(i + 1, n):
-                gj, sj = letters[j]
-                if gj == gi:
-                    if sj == -si:
-                        del letters[j]
-                        del letters[i]
-                        changed = True
-                        break
-                    continue
-                if not g.adjacent(gi, gj):
-                    break
-            if changed:
+    adj = g.adj
+    out = []
+    for let in word:
+        gen, sign = let
+        star = adj[gen]
+        hit = -1
+        for i in range(len(out) - 1, -1, -1):
+            other, s = out[i]
+            if other == gen:
+                if s != sign:
+                    hit = i
+            elif other not in star:
                 break
-    return tuple(letters)
+        if hit < 0:
+            out.append(let)
+        else:
+            del out[hit]
+    return tuple(out)
 
 
 def words_equal(g, w1, w2):

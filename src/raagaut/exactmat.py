@@ -8,7 +8,7 @@ reduction through ``hermite``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .errors import InputError
 
@@ -147,10 +147,6 @@ def hermite(rows, carry):
                 add(i, -q, l)
         l += 1
     return tuple(map(tuple, H)), tuple(map(tuple, C))
-
-
-def lcm(a, b):
-    return a // gcd(a, b) * b
 
 
 def lcm_of_denominators(values):

@@ -4,10 +4,11 @@ the mod-d crossed homomorphism, Schreier graphs, and the two presentation
 combinators (finite-index overgroup, finite covering complex).
 
 All arithmetic is exact.  A block matrix keeps its rational block as an
-integer numerator block over one denominator, so products and inverses in
-the block group run on integers (only ``int_inverse`` of the top-left block
-eliminates over Fractions); row reduction of the matrices acted on runs in
-Fractions.
+integer numerator block over one denominator, so products, inverses and
+the action in the block group run on integers (only ``int_inverse`` of the
+top-left block eliminates over Fractions, and the action divides by the
+denominator once per entry); row reduction of the matrices acted on runs
+in Fractions.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
+from operator import mul
 
 from .core import power_word
 from .errors import BudgetError, InputError
@@ -124,8 +126,19 @@ class BlockMatrix:
         return self.den == 1
 
     def act(self, rows):
-        """Left action on an (n+k)-row matrix."""
-        return mat_mul(self.full(), rows)
+        """Left action on an (n+k)-row matrix: the top rows become
+        A top + (num bottom) / den, and the bottom rows stay."""
+        n, den = self.n, self.den
+        cols = tuple(zip(*rows))
+        top = []
+        for a, b in zip(self.A, self.num):
+            row = []
+            for col in cols:
+                y = sum(map(mul, b, col[n:]))
+                row.append(sum(map(mul, a, col))
+                           + (y if den == 1 else Fraction(y, den)))
+            top.append(tuple(row))
+        return tuple(top) + tuple(map(tuple, rows[n:]))
 
     def key(self):
         return (self.n, self.k, self.A, self.num, self.den)

@@ -95,7 +95,7 @@ def wh_orbit_decide(g, a, S, U: ClassTuple, V: ClassTuple,
                                max_vertices=max_vertices)
         if cert.witness is None:
             continue
-        wh = theta_of_block(g, a, cert.witness)
+        wh = theta(g, a, cert.witness)
         if wh.aut.apply_to_tuple(U) != V:
             raise AssertionError("orbit witness does not map U to V")
         if S and support(wh) & S:
@@ -122,7 +122,7 @@ def wh_stabilizer_presentation(g, a, S, U: ClassTuple, max_vertices=None):
 
     pres_matrix, mrewrite = g1_stabilizer_presentation(
         nu1, n, k, zc, max_vertices=max_vertices)
-    s2 = [(name, theta_of_block(g, a, payload))
+    s2 = [(name, theta(g, a, payload))
           for name, payload in pres_matrix.generators]
 
     transversal = {}  # vertex -> its transversal letter (name, element)
@@ -134,7 +134,7 @@ def wh_stabilizer_presentation(g, a, S, U: ClassTuple, max_vertices=None):
                                max_vertices=max_vertices)
         if cert.witness is None:
             continue
-        s1.append(("t%d" % len(s1), theta_of_block(g, a, cert.witness)))
+        s1.append(("t%d" % len(s1), theta(g, a, cert.witness)))
         transversal[target] = s1[-1]
 
     graph = LabeledGraph()
@@ -175,13 +175,6 @@ def wh_stabilizer_presentation(g, a, S, U: ClassTuple, max_vertices=None):
                                  "restriction")
     pres.check_relators(compose_gw, GenWhitehead.invert, ident)
     return pres, rewrite
-
-
-def theta_of_block(g, a, block):
-    """The Whitehead automorphism of an integral block matrix."""
-    full = block.full()
-    mat = tuple(tuple(int(v) for v in row) for row in full)
-    return theta(g, a, mat)
 
 
 def _block_of(mat, n, k):

@@ -300,9 +300,11 @@ def _commutes(g, x, y):
     return x == y or y in g.adj[x]
 
 
-def _scan_reduce(g, word):
-    """Delete a cancellable pair x ... x^-1 (everything between commuting
-    with x) until none is left."""
+def scan_reduce(g, word):
+    """Delete the leftmost cancellable pair x ... x^-1 (everything between
+    commuting with x), restarting the scan after each deletion, until none
+    is left: the restart scan that ``reduce_word``'s one-pass stack form
+    must reproduce letter for letter."""
     letters = list(word)
     changed = True
     while changed:
@@ -322,10 +324,10 @@ def _scan_reduce(g, word):
 
 
 def _cyclic_reduce(g, word):
-    w = _scan_reduce(g, word)
+    w = scan_reduce(g, word)
     while True:
         for r in range(len(w)):
-            red = _scan_reduce(g, w[r:] + w[:r])
+            red = scan_reduce(g, w[r:] + w[:r])
             if len(red) < len(w):
                 w = red
                 break

@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+import raagaut.aut as aut_module
 from raagaut.aut import (Automorphism, GenWhitehead, classic_whitehead,
                          enumerate_classic_whitehead, eta, graph_symmetries,
                          identity_automorphism, inner_witness, is_in_whset,
@@ -12,6 +14,7 @@ from raagaut.aut import (Automorphism, GenWhitehead, classic_whitehead,
 from raagaut.core import DefiningGraph, class_tuple, inverse_word, parse_word
 from raagaut.errors import BudgetError, InputError
 from raagaut.exactmat import mat_mul, mat_identity, mat_det
+from raagaut.linalg import BlockMatrix
 
 from .oracles import brute_force_symmetries
 
@@ -323,6 +326,44 @@ def test_theta_shape_error(split):
     bad = ((1, 0, 0), (0, 1, 0), (1, 0, 1))
     with pytest.raises(InputError):
         theta(split, "a", bad)
+
+
+def test_theta_of_full_matrix_and_of_block_agree(split):
+    full = ((0, 1, 2), (1, 0, -1), (0, 0, 1))
+    block = BlockMatrix(2, 1, [[0, 1], [1, 0]], [[2], [-1]])
+    assert theta(split, "a", full).aut == theta(split, "a", block).aut
+    for bad in (((2, 0, 0), (0, 1, 0), (0, 0, 1)),      # det 2
+                ((1, 1, 0), (1, -1, 0), (0, 0, 1)),     # det -2
+                BlockMatrix(1, 1, [[1]], [[0]]),        # wrong shape
+                BlockMatrix(2, 1, [[1, 0], [0, 1]],
+                            [[Fraction(1, 2)], [0]])):  # not integral
+        with pytest.raises(InputError):
+            theta(split, "a", bad)
+
+
+@pytest.mark.parametrize("graph_name", ["f2", "split", "path4"])
+def test_products_reduce_each_image_once(graph_name, request, monkeypatch):
+    g = request.getfixturevalue(graph_name)
+    rng = random.Random(graph_name)
+    x = random_whitehead(g, g.vertices[0], rng).aut
+    y = random_whitehead(g, g.vertices[-1], rng).aut
+    calls = []
+    reduce_word = aut_module.reduce_word
+
+    def counting(graph, word):
+        calls.append(word)
+        return reduce_word(graph, word)
+
+    monkeypatch.setattr(aut_module, "reduce_word", counting)
+    xy = x.compose(y)
+    assert len(calls) == 2 * len(g.vertices)
+    del calls[:]
+    assert xy.invert().compose(xy).is_identity()
+    assert len(calls) == 2 * len(g.vertices)
+    del calls[:]
+    x.invert()
+    identity_automorphism(g)
+    assert calls == []
 
 
 def test_automorphism_json_round_trip(split):

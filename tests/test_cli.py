@@ -275,6 +275,22 @@ def test_usage_errors_are_input_errors(files, capsys, tmp_path):
     assert exc.value.code == 0
 
 
+def test_calls_in_one_process_are_independent(files, capsys):
+    code, out, _ = run(["reduce", "--graph", files["split"], "--word",
+                        "a b a a^-1", "--json"], capsys)
+    assert code == 0 and json.loads(out)["reduced"] == "b a"
+    # no option of the first call carries over
+    code, out, _ = run(["reduce", "--graph", files["f2"], "--word", "b"],
+                       capsys)
+    assert (code, out) == (0, "b\n")
+    code, out, err = run(["reduce", "--graph", files["f2"], "--bogus"],
+                         capsys)
+    assert code == 1 and out == "" and err.startswith("input error: ")
+    code, out, err = run(["conj", "--graph", files["f2"], "--word", "a"],
+                         capsys)
+    assert (code, out, err) == (1, "", "input error: --word2 is required\n")
+
+
 @pytest.mark.parametrize("flag,command", [
     ("--max-vertices", ["reduce", "--graph", "{f2}", "--word", "a"]),
     ("--max-vertices", ["conj", "--graph", "{f2}", "--word", "a",

@@ -10,7 +10,8 @@ from raagaut.core import (DefiningGraph, canonical_class, class_tuple,
                           parse_tuple, parse_word, reduce_word, words_equal)
 from raagaut.errors import BudgetError, InputError
 
-from .oracles import (bfs_minimal_length, word_bfs_canonical, word_lexnf)
+from .oracles import (bfs_minimal_length, scan_reduce, word_bfs_canonical,
+                      word_lexnf)
 
 W = parse_word
 
@@ -42,6 +43,36 @@ def test_reduce_exhaustive_short_words(split):
         for w in product(letters, repeat=n):
             assert len(reduce_word(split, w)) == \
                 bfs_minimal_length(split.adj, w)
+
+
+def test_reduce_cancels_leftmost_reachable_inverse(split):
+    # a^-1 reaches both a's; the restart scan deletes the first pair it
+    # finds, which starts at the leftmost a
+    assert reduce_word(split, W("a b a a^-1")) == W("b a")
+    assert reduce_word(split, iter(W("a b a a^-1"))) == W("b a")
+
+
+@pytest.mark.parametrize("name,max_len", [("f2", 8), ("split", 6),
+                                          ("path4", 6)])
+def test_reduce_matches_restart_scan_exhaustive(name, max_len, request):
+    g = request.getfixturevalue(name)
+    letters = [(v, s) for v in g.vertices for s in (1, -1)]
+    for n in range(max_len + 1):
+        for w in product(letters, repeat=n):
+            assert reduce_word(g, w) == scan_reduce(g, w)
+
+
+def test_reduce_matches_restart_scan_random_graphs():
+    rng = random.Random(4)
+    for _ in range(2000):
+        names = ["v%d" % i for i in range(rng.randint(2, 8))]
+        g = DefiningGraph(names, [(u, v) for i, u in enumerate(names)
+                                  for v in names[i + 1:]
+                                  if rng.random() < 0.5])
+        letters = [(v, s) for v in names for s in (1, -1)]
+        for _ in range(30):
+            w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 60)))
+            assert reduce_word(g, w) == scan_reduce(g, w)
 
 
 def test_unknown_generator_rejected(f2):

@@ -4,6 +4,7 @@ and plain folds; and the Schreier component builder, checked against the
 graph on every residue."""
 
 import random
+from math import lcm
 
 import pytest
 
@@ -11,7 +12,6 @@ from raagaut.apps import build_delta, build_Z
 from raagaut.aut import Automorphism, identity_automorphism
 from raagaut.core import class_tuple, parse_word
 from raagaut.errors import InputError
-from raagaut.exactmat import lcm
 from raagaut.linalg import (BlockMatrix, LabeledGraph, gd_stabilizer,
                             gq_normal_form, invert_pword, schreier_g1_in_gd,
                             target_lcd)

@@ -455,7 +455,7 @@ def assert_lowest_terms(X):
 
 
 def test_block_products_and_inverses_match_fraction_matrices():
-    rng = random.Random(15)
+    rng, act_rng = random.Random(15), random.Random(16)
     for _ in range(400):
         n, k = rng.randint(1, 3), rng.randint(0, 3)
         X, Y = random_block(rng, n, k), random_block(rng, n, k)
@@ -465,6 +465,11 @@ def test_block_products_and_inverses_match_fraction_matrices():
             assert Z.full() == full
             assert_lowest_terms(Z)
         assert X.mul(X.inv()) == BlockMatrix.identity(n, k)
+        m = act_rng.randint(0, 3)
+        rows = [[act_rng.choice((act_rng.randint(-9, 9), Fraction(
+            act_rng.randint(-9, 9), act_rng.randint(1, 12))))
+            for _ in range(m)] for _ in range(n + k)]
+        assert X.act(rows) == mat_mul(X.full(), rows)
 
 
 def test_block_spellings_are_equal_and_hash_equal():
