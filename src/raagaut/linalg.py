@@ -1035,7 +1035,9 @@ def g1_stabilizer_presentation(rows_a, n, k, zero_columns=frozenset(),
     d = lcm(target_lcd(N), Q.denominator())
     struct, pres_n = gd_stabilizer(N, n, k2, d)
     Qi = Q.inv()
-    base_key = rho(Qi, d)
+    # C in the stabilizer of N has an integral Q^-1 C Q exactly when it
+    # fixes the coset Q G1, whose residue is rho(Q, d)
+    base_key = rho(Q, d)
     graph = schreier_g1_in_gd(pres_n.generators, n, k2, d, base_key,
                               max_vertices)
     # relabel payloads by conjugating into the stabilizer of A

@@ -150,6 +150,22 @@ def test_stabilizer_generators_fix_and_relators_trivial(split):
         assert val.is_identity()
 
 
+@pytest.mark.parametrize("text,n_generators,n_relators", [
+    ("c b a^-1 d d d", 19, 54), ("b^-1 a d^-1 d^-1 d^-1 c", 19, 53)])
+def test_stabilizer_schreier_component_of_the_normal_form_coset(
+        path4, text, n_generators, n_relators):
+    """The matrix stabilizer's Schreier component is the one of the coset
+    Q G1 of the normal form N = Q A.  On these tuples the residue of Q^-1
+    has another stabilizer, and building on it gave non-integral
+    generators."""
+    U = class_tuple(path4, [W(text)])
+    pres, _ = wh_stabilizer_presentation(path4, "c", frozenset(), U)
+    assert (len(pres.generators), len(pres.relators)) == (n_generators,
+                                                          n_relators)
+    for nm, wh in pres.generators:
+        assert wh.aut.apply_to_tuple(U) == U
+
+
 def test_stabilizer_rewrite_roundtrip(split):
     U = class_tuple(split, [W("c a c b")])
     pres, rewrite = wh_stabilizer_presentation(split, "a", frozenset(), U)
