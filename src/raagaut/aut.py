@@ -378,15 +378,9 @@ def theta(g, a, matrix) -> GenWhitehead:
     else:
         if len(matrix) != dim or any(len(row) != dim for row in matrix):
             raise InputError("matrix has wrong shape for this basis")
-        for i in range(n, dim):
-            for j in range(dim):
-                want = 1 if i == j else 0
-                if matrix[i][j] != want:
-                    raise InputError("matrix bottom block is not the "
-                                     "identity")
-        # raises unless the top-left block has determinant +-1
-        block = BlockMatrix(n, dim - n, [row[:n] for row in matrix[:n]],
-                            [row[n:] for row in matrix[:n]])
+        # raises unless the bottom rows are [0 I] and the top-left block
+        # has determinant +-1
+        block = BlockMatrix.from_full(n, dim - n, matrix)
     if not block.is_integral():
         raise InputError("matrix top-right block is not integral")
 
