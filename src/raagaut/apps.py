@@ -17,11 +17,12 @@ loops include the symmetries that fix each representative.
 
 from __future__ import annotations
 
-from .aut import (Automorphism, conjugation_by, conjugation_letter_factors,
+from .aut import (Automorphism, classic_choices, classic_whitehead,
+                  conjugation_by, conjugation_letter_factors,
                   enumerate_classic_whitehead, identity_automorphism,
                   is_long_range, permutation_automorphisms, support, theta,
                   za_dims)
-from .core import ClassTuple, canonical_class, reduce_word
+from .core import ClassTuple, canonical_class, cyclically_reduce, reduce_word
 from .errors import BudgetError, InputError
 from .linalg import LabeledGraph, Presentation, g1_orbit_decide
 from .peak import (classic_factor_list, fixes_class_pointwise,
@@ -145,21 +146,52 @@ def wh_reachable(g, a, U: ClassTuple, shorter=False, zero_columns=frozenset(),
         yield target, wh
 
 
+def classic_length(g, m, supp, U: ClassTuple):
+    """Total length of the image of U under the classic Whitehead move with
+    multiplier letter m and support supp, without building the move: each
+    letter (x, s) becomes m^-1 (x, s) m with m^-1 present when (x, -s) is in
+    the support and m when (x, s) is, and a class is as long as its
+    cyclically reduced words.  A class the move leaves letter for letter
+    keeps its length."""
+    supp = frozenset(supp)
+    minv = (m[0], -m[1])
+    total = 0
+    for cls in U:
+        word = []
+        for x in cls.word:
+            if (x[0], -x[1]) in supp:
+                word.append(minv)
+            word.append(x)
+            if x in supp:
+                word.append(m)
+        if len(word) == cls.length:
+            total += cls.length
+        else:
+            total += len(cyclically_reduce(g, word))
+    return total
+
+
 def minimize_tuple(g, U: ClassTuple):
     """A minimal-length tuple in the orbit of U together with a minimizing
     automorphism.
 
-    Descends by single classic moves first, then certifies via the
-    reachable-shorter sweep for every multiplier class.
+    Descends by single classic moves first, taking the first move of
+    ``classic_choices`` whose ``classic_length`` is shorter and building only
+    that one, then certifies via the reachable-shorter sweep for every
+    multiplier class.
     """
     cur = U
     total = identity_automorphism(g)
     while True:
         step = None
-        for wh in enumerate_classic_whitehead(g):
-            img = wh.aut.apply_to_tuple(cur)
-            if img.length < cur.length:
-                step = (wh.aut, img)
+        for m, supp in classic_choices(g):
+            if classic_length(g, m, supp, cur) < cur.length:
+                aut = classic_whitehead(g, m, supp, _skip_check=True).aut
+                img = aut.apply_to_tuple(cur)
+                if img.length >= cur.length:
+                    raise AssertionError(
+                        "classic move does not shorten the tuple")
+                step = (aut, img)
                 break
         if step is None:
             for a in _class_reps(g):

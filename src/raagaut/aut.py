@@ -570,26 +570,21 @@ def laurence_generators(g):
     return g._cache[key]
 
 
-def enumerate_classic_whitehead(g, long_range_only=False):
-    """All classic Whitehead automorphisms of multiplier type, both
-    multiplier signs, including the identity.
+def classic_choices(g, long_range_only=False):
+    """The (multiplier letter, support letters) choices of the classic
+    Whitehead automorphisms of multiplier type, both multiplier signs, in
+    the order ``enumerate_classic_whitehead`` lists them, repeats included.
 
     Per-vertex actions are chosen consistently with the structure of the
     multiplier group: non-adjacent dominated vertices take any of the four
     classic actions, components with at least two vertices move as blocks
     (conjugation only), adjacent dominated vertices may be multiplied on one
     side, and everything else stays fixed.  With ``long_range_only`` the
-    star of the multiplier is left untouched.  The action choices of each
-    multiplier are capped by ``CLASSIC_CHOICE_BUDGET``.
+    star of the multiplier is left untouched.  Every multiplier's count of
+    action choices is checked against ``CLASSIC_CHOICE_BUDGET`` before the
+    first choice is yielded.
     """
-    key = ("classics", long_range_only)
-    if key in g._cache:
-        return g._cache[key]
-    out = []
-    seen = set()
-    identity = identity_automorphism(g)
-    out.append(GenWhitehead(identity))
-    seen.add(identity)
+    per_vertex = []
     for a in g.vertices:
         # each slot lists the support letters of its alternative actions
         slots = [((), ((b, 1),), ((b, -1),), ((b, 1), (b, -1)))
@@ -603,15 +598,28 @@ def enumerate_classic_whitehead(g, long_range_only=False):
         if choices > CLASSIC_CHOICE_BUDGET:
             raise BudgetError.exceeded("enumerate_classic_whitehead choices",
                                        choices, CLASSIC_CHOICE_BUDGET)
+        per_vertex.append((a, slots))
+    for a, slots in per_vertex:
         for sign in (1, -1):
             for choice in product(*slots):
-                wh = classic_whitehead(
-                    g, (a, sign), [x for part in choice for x in part],
-                    _skip_check=True)
-                if wh.aut in seen:
-                    continue
-                seen.add(wh.aut)
-                out.append(wh)
+                yield (a, sign), tuple(x for part in choice for x in part)
+
+
+def enumerate_classic_whitehead(g, long_range_only=False):
+    """All classic Whitehead automorphisms of multiplier type, both
+    multiplier signs, including the identity: the distinct automorphisms of
+    ``classic_choices``, in its order, after the identity."""
+    key = ("classics", long_range_only)
+    if key in g._cache:
+        return g._cache[key]
+    identity = identity_automorphism(g)
+    out = [GenWhitehead(identity)]
+    seen = {identity}
+    for m, supp in classic_choices(g, long_range_only):
+        wh = classic_whitehead(g, m, supp, _skip_check=True)
+        if wh.aut not in seen:
+            seen.add(wh.aut)
+            out.append(wh)
     g._cache[key] = out
     return out
 

@@ -3,17 +3,21 @@
 Everything here works on its own representations (signed integer letters,
 plain tuples) and implements textbook algorithms directly, so it shares no
 code path with the package.  The exceptions are the all-tuple orbit graph,
-which runs the package's own Whitehead sweeps at every tuple, and the
+which runs the package's own Whitehead sweeps at every tuple, the
 enumeration minimizer, which runs the package's one-group orbit decision
-on every shorter tuple: they are references for the graph built on
-representatives and for the minimizing sweep, not for the parts they call.
+on every shorter tuple, and the list minimizer, which runs the classic
+descent over the package's materialized list of classic Whitehead moves:
+they are references for the graph built on representatives, for the
+minimizing sweep and for the streamed classic descent, not for the parts
+they call.
 """
 
 from fractions import Fraction
 from itertools import permutations, product
 
 from raagaut.apps import wh_reachable
-from raagaut.aut import identity_automorphism, permutation_automorphisms
+from raagaut.aut import (enumerate_classic_whitehead, identity_automorphism,
+                         permutation_automorphisms)
 from raagaut.core import enumerate_tuples
 from raagaut.whorbit import wh_orbit_decide, wh_stabilizer_presentation
 
@@ -648,6 +652,31 @@ def enumeration_minimize(g, U):
         if step is None:
             return U
         U = step
+
+
+def list_classic_minimize(g, U):
+    """(minimal tuple, minimizing automorphism) by the descent over the
+    materialized list ``enumerate_classic_whitehead``: step by the first
+    listed move whose canonicalized image is shorter, else by the first
+    target of the reachable-shorter sweep, taking one vertex per
+    star-equality class in vertex order, until neither steps."""
+    reps = []
+    for v in g.vertices:
+        if all(g.adjdom_class(v) != g.adjdom_class(r) for r in reps):
+            reps.append(v)
+    cur, total = U, identity_automorphism(g)
+    while True:
+        step = next(((wh.aut, img) for wh in enumerate_classic_whitehead(g)
+                     for img in [wh.aut.apply_to_tuple(cur)]
+                     if img.length < cur.length), None)
+        if step is None:
+            step = next(((wh.aut, target) for a in reps
+                         for target, wh in wh_reachable(g, a, cur,
+                                                        shorter=True)), None)
+        if step is None:
+            return cur, total
+        aut, cur = step
+        total = aut.compose(total)
 
 
 # -- the orbit graph on every tuple -------------------------------------------

@@ -4,7 +4,6 @@ per criterion, each printing its own pass/fail line.
 Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
-import json
 import random
 import time
 
@@ -13,8 +12,7 @@ import pytest
 from raagaut.aut import (Automorphism, identity_automorphism,
                          laurence_generators, theta, za_basis)
 from raagaut.core import DefiningGraph, class_tuple, parse_word
-from raagaut.errors import BudgetError
-from raagaut.exactmat import mat_det, mat_eq, mat_identity, mat_mul
+from raagaut.exactmat import mat_eq, mat_identity, mat_mul
 from raagaut.linalg import (BlockMatrix, evaluate_matrix_word, evaluate_word,
                             g1_orbit_decide, g1_stabilizer_presentation,
                             gd_stabilizer, gl_presentation, gq_normal_form,

@@ -2,20 +2,23 @@ import random
 
 import pytest
 
-from raagaut import apps
+from raagaut import apps, aut
 from raagaut.apps import (aut_orbit_decide, build_delta, build_Z,
-                          minimize_tuple, stabilizer_generators,
-                          stabilizer_presentation, wh_reachable)
-from raagaut.aut import (Automorphism, enumerate_classic_whitehead,
-                         identity_automorphism, laurence_generators,
-                         permutation_automorphisms)
-from raagaut.core import DefiningGraph, class_tuple, parse_word
+                          classic_length, minimize_tuple,
+                          stabilizer_generators, stabilizer_presentation,
+                          wh_reachable)
+from raagaut.aut import (Automorphism, classic_choices, classic_whitehead,
+                         enumerate_classic_whitehead, identity_automorphism,
+                         laurence_generators, permutation_automorphisms)
+from raagaut.core import (DefiningGraph, class_tuple, enumerate_tuples,
+                          parse_word)
 from raagaut.errors import BudgetError
 from raagaut.linalg import evaluate_word
 
 from .oracles import (MatrixGroupChain, abelian_image, abelianization,
                       all_tuple_loop_elements, all_tuple_orbit_graph,
-                      enumeration_minimize, oracle_equivalent, oracle_minimize,
+                      enumeration_minimize, list_classic_minimize,
+                      oracle_equivalent, oracle_minimize,
                       short_identity_loops)
 
 W = parse_word
@@ -67,6 +70,96 @@ def test_minimize_full_enum_agrees(split):
         U = class_tuple(split, words)
         m, _ = minimize_tuple(split, U)
         assert m.length == enumeration_minimize(split, U).length
+
+
+# -- the streamed classic descent against the list-based one ----------------
+
+def assert_minimize_matches_list_oracle(g, U):
+    m, mu = minimize_tuple(g, U)
+    m_ref, mu_ref = list_classic_minimize(g, U)
+    assert m == m_ref
+    assert mu.key() == mu_ref.key()
+
+
+# pairs stop at total length 3 on split and path4: their 7,692 pairs of
+# total length 4 would take over a minute through both minimizers
+@pytest.mark.parametrize("name,pair_length",
+                         [("f2", 4), ("split", 3), ("path4", 3)])
+def test_minimize_matches_list_oracle_exhaustive(request, name, pair_length):
+    g = request.getfixturevalue(name)
+    for arity, max_length in ((1, 4), (2, pair_length)):
+        for length in range(1, max_length + 1):
+            for U in enumerate_tuples(g, arity, length):
+                assert_minimize_matches_list_oracle(g, U)
+
+
+def test_minimize_matches_list_oracle_random(nodom6):
+    rng = random.Random(81)
+    letters = [(v, s) for v in nodom6.vertices for s in (1, -1)]
+    for _ in range(300):
+        U = class_tuple(nodom6, [
+            tuple(rng.choice(letters) for _ in range(rng.randint(1, 5)))
+            for _ in range(rng.randint(1, 2))])
+        assert_minimize_matches_list_oracle(nodom6, U)
+
+
+@pytest.mark.parametrize("name", ["f2", "split", "path4", "nodom6"])
+def test_classic_length_is_the_image_length(request, name):
+    """Inverse letters and, on split, path4 and nodom6, adjacent dominated
+    vertices (one-sided moves on star letters) included."""
+    g = request.getfixturevalue(name)
+    rng = random.Random(82)
+    letters = [(v, s) for v in g.vertices for s in (1, -1)]
+    for _ in range(6):
+        U = class_tuple(g, [tuple(rng.choice(letters)
+                                  for _ in range(rng.randint(1, 6)))
+                            for _ in range(rng.randint(1, 2))])
+        for m, supp in classic_choices(g):
+            image = classic_whitehead(g, m, supp).aut.apply_to_tuple(U)
+            assert classic_length(g, m, supp, U) == image.length
+
+
+@pytest.mark.parametrize("name", ["f2", "k2", "k3", "split", "path4",
+                                  "nodom6"])
+@pytest.mark.parametrize("long_range_only", [False, True])
+def test_classic_choices_without_repeats_are_the_list(request, name,
+                                                      long_range_only):
+    g = request.getfixturevalue(name)
+    seen = {identity_automorphism(g)}
+    distinct = []
+    for m, supp in classic_choices(g, long_range_only):
+        wh = classic_whitehead(g, m, supp)
+        if wh.aut not in seen:
+            seen.add(wh.aut)
+            distinct.append((wh.aut, wh.classic))
+    listed = enumerate_classic_whitehead(g, long_range_only)
+    assert listed[0].aut.is_identity()
+    assert [(wh.aut, wh.classic) for wh in listed[1:]] == distinct
+
+
+def test_minimize_raises_when_a_scored_move_does_not_shorten(monkeypatch,
+                                                             nodom6):
+    monkeypatch.setattr(apps, "classic_length", lambda *args: 0)
+    with pytest.raises(AssertionError,
+                       match="^classic move does not shorten the tuple$"):
+        minimize_tuple(nodom6, class_tuple(nodom6, [W("m^-1 c^-1 f")]))
+
+
+def test_minimize_checks_every_classic_budget_first(monkeypatch, nodom6):
+    """A later multiplier over budget raises before the first choice is
+    yielded, so before an earlier multiplier's shortening move is taken, and
+    minimize_tuple raises the list's error."""
+    U = class_tuple(nodom6, [W("c a")])
+    m, supp = next((m, supp) for m, supp in classic_choices(nodom6)
+                   if classic_length(nodom6, m, supp, U) < U.length)
+    assert m[0] == "a"
+    # per sign: 24 choices for a and b, 48 for m
+    monkeypatch.setattr(aut, "CLASSIC_CHOICE_BUDGET", 24)
+    message = r"^enumerate_classic_whitehead choices 48 > budget 24$"
+    with pytest.raises(BudgetError, match=message):
+        next(classic_choices(nodom6))
+    with pytest.raises(BudgetError, match=message):
+        minimize_tuple(nodom6, U)
 
 
 def test_wh_reachable_witnesses(split):

@@ -11,7 +11,7 @@ from raagaut.aut import (Automorphism, GenWhitehead, classic_whitehead,
                          permutation_automorphisms, support, theta,
                          za_basis, za_dims, conjugation_by,
                          conjugation_letter_factors)
-from raagaut.core import DefiningGraph, class_tuple, inverse_word, parse_word
+from raagaut.core import DefiningGraph, class_tuple, parse_word
 from raagaut.errors import BudgetError, InputError
 from raagaut.exactmat import mat_mul, mat_identity, mat_det
 from raagaut.linalg import BlockMatrix

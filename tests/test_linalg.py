@@ -5,17 +5,15 @@ from math import gcd
 import pytest
 
 from raagaut.errors import InputError
-from raagaut.exactmat import (int_inverse, mat_det, mat_eq, mat_identity,
-                              mat_mul)
+from raagaut.exactmat import int_inverse, mat_eq, mat_identity, mat_mul
 from raagaut.linalg import (BlockMatrix, LabeledGraph, Presentation,
                             cover_presentation, evaluate_matrix_word,
                             evaluate_word, g1_orbit_decide,
                             g1_stabilizer_presentation, gd_stabilizer,
                             gd_stab_word, gl_presentation, gl_word,
-                            gq_normal_form, invert_pword, is_normal_form,
+                            gq_normal_form, is_normal_form,
                             presentation_from_finite_index, rho,
-                            schreier_g1_in_gd, semidirect_presentation,
-                            target_lcd)
+                            schreier_g1_in_gd, semidirect_presentation)
 
 from .oracles import fraction_inverse
 

@@ -8,7 +8,6 @@ from raagaut.aut import (Automorphism, GenWhitehead, classic_whitehead,
                          permutation_automorphisms, support, theta, za_basis)
 from raagaut.core import DefiningGraph, class_tuple, parse_word
 from raagaut.errors import InputError
-from raagaut.exactmat import mat_det, mat_identity
 from raagaut.peak import (Factorization, Peak, classic_factor_list,
                           classic_length_change, compose_factors,
                           complement_classic, lower_peak,

@@ -5,11 +5,11 @@ import pytest
 
 from raagaut.aut import GenWhitehead, make_whitehead, theta, za_basis
 from raagaut import syllables
-from raagaut.core import ClassTuple, canonical_class, class_tuple, parse_word
+from raagaut.core import class_tuple, parse_word
 from raagaut.errors import BudgetError
 from raagaut.syllables import (Decomposition, act_on_decomposition, decompose,
                                length_delta, matching_permutations, nu,
-                               nu_matrix, syllable_count)
+                               syllable_count)
 
 from .decompositions import decomposition_from_words
 

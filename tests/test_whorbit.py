@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from raagaut.aut import (eta, identity_automorphism, laurence_generators,
-                         support, theta, za_basis)
+from raagaut.aut import eta, identity_automorphism, laurence_generators
 from raagaut.core import class_tuple, parse_word
 from raagaut.errors import InputError
 from raagaut.linalg import evaluate_word, g1_orbit_decide
