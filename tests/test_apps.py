@@ -81,8 +81,8 @@ def assert_minimize_matches_list_oracle(g, U):
     assert mu.key() == mu_ref.key()
 
 
-# pairs stop at total length 3 on split and path4: their 7,692 pairs of
-# total length 4 would take over a minute through both minimizers
+# pairs stop at total length 3 on split and path4: their 6,028 pairs of
+# total length 4 would take about a minute through both minimizers
 @pytest.mark.parametrize("name,pair_length",
                          [("f2", 4), ("split", 3), ("path4", 3)])
 def test_minimize_matches_list_oracle_exhaustive(request, name, pair_length):
