@@ -146,13 +146,15 @@ def wh_reachable(g, a, U: ClassTuple, shorter=False, zero_columns=frozenset(),
         yield target, wh
 
 
-def classic_length(g, m, supp, U: ClassTuple):
+def classic_length(g, m, supp, U: ClassTuple, lengths):
     """Total length of the image of U under the classic Whitehead move with
     multiplier letter m and support supp, without building the move: each
     letter (x, s) becomes m^-1 (x, s) m with m^-1 present when (x, -s) is in
     the support and m when (x, s) is, and a class is as long as its
     cyclically reduced words.  A class the move leaves letter for letter
-    keeps its length."""
+    keeps its length; ``lengths`` memoizes substituted word -> cyclic
+    length, since choices that differ only on generators outside a class
+    substitute the same word."""
     supp = frozenset(supp)
     minv = (m[0], -m[1])
     total = 0
@@ -166,8 +168,12 @@ def classic_length(g, m, supp, U: ClassTuple):
                 word.append(m)
         if len(word) == cls.length:
             total += cls.length
-        else:
-            total += len(cyclically_reduce(g, word))
+            continue
+        word = tuple(word)
+        n = lengths.get(word)
+        if n is None:
+            n = lengths[word] = len(cyclically_reduce(g, word))
+        total += n
     return total
 
 
@@ -184,8 +190,9 @@ def minimize_tuple(g, U: ClassTuple):
     total = identity_automorphism(g)
     while True:
         step = None
+        lengths = {}
         for m, supp in classic_choices(g):
-            if classic_length(g, m, supp, cur) < cur.length:
+            if classic_length(g, m, supp, cur, lengths) < cur.length:
                 aut = classic_whitehead(g, m, supp, _skip_check=True).aut
                 img = aut.apply_to_tuple(cur)
                 if img.length >= cur.length:

@@ -404,10 +404,10 @@ def rewrite_loop(g, factors, base, lower, budget=None):
     if budget is None:
         budget = REWRITE_BUDGET
     factors = [f for f in factors if not f.aut.is_identity()]
+    tuples = intermediate_tuples(factors, base)
     steps = 0
     prev_measure = None
     while True:
-        tuples = intermediate_tuples(factors, base)
         profile = [t.length for t in tuples]
         pos = find_peak_position(profile)
         if pos is None:
@@ -427,8 +427,18 @@ def rewrite_loop(g, factors, base, lower, budget=None):
         beta = factors[pos]
         low = lower(V, alpha, beta)
         verify_lowering(g, low, V, alpha, beta)
-        factors[pos - 1:pos + 1] = low
-        factors = [f for f in factors if not f.aut.is_identity()]
+        splice_lowering(factors, tuples, pos, low)
+
+
+def splice_lowering(factors, tuples, pos, low):
+    """Replace the factors pos-1 and pos, around the peak ``tuples[pos]``,
+    by the lowering ``low`` with its identity factors dropped, and its
+    intermediate tuples for the peak.  The lowering composes to the two
+    factors it replaces, so every other tuple stays."""
+    low = [f for f in low if not f.aut.is_identity()]
+    mids = intermediate_tuples(low[:-1], tuples[pos - 1]) if low else []
+    factors[pos - 1:pos + 1] = low
+    tuples[pos - 1:pos + 1] = mids
 
 
 def long_range_peak_reduce(g, factors, W: ClassTuple, cls=None,

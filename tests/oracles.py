@@ -5,20 +5,25 @@ plain tuples) and implements textbook algorithms directly, so it shares no
 code path with the package.  The exceptions are the all-tuple orbit graph,
 which runs the package's own Whitehead sweeps at every tuple, the
 enumeration minimizer, which runs the package's one-group orbit decision
-on every shorter tuple, and the list minimizer, which runs the classic
-descent over the package's materialized list of classic Whitehead moves:
-they are references for the graph built on representatives, for the
-minimizing sweep and for the streamed classic descent, not for the parts
-they call.
+on every shorter tuple, the list minimizer, which runs the classic
+descent over the package's materialized list of classic Whitehead moves,
+and the peak rewrite loop that recomputes every profile with the
+package's peak search and lowering check: they are references for the
+graph built on representatives, for the minimizing sweep, for the
+streamed classic descent and for the spliced peak profiles, not for the
+parts they call.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import permutations, product
 
 from raagaut.apps import wh_reachable
 from raagaut.aut import (enumerate_classic_whitehead, identity_automorphism,
                          permutation_automorphisms)
 from raagaut.core import enumerate_tuples
+from raagaut.peak import (find_peak_position, intermediate_tuples,
+                          verify_lowering)
 from raagaut.whorbit import wh_orbit_decide, wh_stabilizer_presentation
 
 
@@ -388,6 +393,100 @@ def word_bfs_canonical(g, word, memo=None, budget=2_000_000):
             memo[u] = best
     return best
 
+
+
+def quadratic_lexnf(g, word):
+    """The quadratic Anisimov-Knuth greedy on a reduced word: every position
+    counts all its earlier blockers (letters of another generator that does
+    not commute with it), and taking a letter releases every later position
+    it blocks."""
+    n = len(word)
+    if n < 2:
+        return tuple(word)
+    gens = [gen for gen, _ in word]
+    keys = [_letter_key(g, let) for let in word]
+    blockers = [0] * n
+    blocks = [[] for _ in range(n)]
+    for i, gi in enumerate(gens):
+        for j in range(i + 1, n):
+            if not _commutes(g, gi, gens[j]):
+                blockers[j] += 1
+                blocks[i].append(j)
+    ready = [(keys[i], i) for i in range(n) if not blockers[i]]
+    heapify(ready)
+    out = []
+    while ready:
+        _, i = heappop(ready)
+        out.append(word[i])
+        for j in blocks[i]:
+            blockers[j] -= 1
+            if not blockers[j]:
+                heappush(ready, (keys[j], j))
+    return tuple(out)
+
+
+def _letter_fronts(g, trace):
+    """Letter -> first position, for each distinct letter of a trace that
+    can be commuted to its front."""
+    seen = set()
+    out = {}
+    for i, let in enumerate(trace):
+        gen = let[0]
+        if let not in out and all(_commutes(g, gen, x) for x in seen):
+            out[let] = i
+        seen.add(gen)
+    return out
+
+
+def lexnf_trace_states(g, word):
+    """The trace states of the class of a cyclically reduced ``word``, each
+    keyed by its ``quadratic_lexnf``, by a BFS that moves each front letter
+    to the back and normalizes every move: the state set whose size
+    ``canonical_class`` counts against its budget."""
+    start = quadratic_lexnf(g, word)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for i in _letter_fronts(g, u).values():
+                v = quadratic_lexnf(g, u[:i] + u[i + 1:] + u[i:i + 1])
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return seen
+
+
+# -- peak reduction with whole-profile recomputation ----------------------------
+
+def recompute_rewrite_loop(g, factors, base, lower, budget=20_000):
+    """The peak rewrite loop that recomputes every intermediate tuple of the
+    whole factor list after each lowering."""
+    factors = [f for f in factors if not f.aut.is_identity()]
+    steps = 0
+    prev_measure = None
+    while True:
+        tuples = intermediate_tuples(factors, base)
+        profile = [t.length for t in tuples]
+        pos = find_peak_position(profile)
+        if pos is None:
+            return factors
+        h = profile[pos]
+        measure = (h, sum(1 for x in profile[1:-1] if x == h))
+        if prev_measure is not None and measure >= prev_measure:
+            raise AssertionError("peak reduction measure did not decrease")
+        prev_measure = measure
+        steps += 1
+        if steps > budget:
+            raise RuntimeError("oracle budget exceeded")
+        V = tuples[pos]
+        alpha = factors[pos - 1].invert()
+        beta = factors[pos]
+        low = lower(V, alpha, beta)
+        verify_lowering(g, low, V, alpha, beta)
+        factors[pos - 1:pos + 1] = low
+        factors = [f for f in factors if not f.aut.is_identity()]
 
 # -- exact linear algebra by separate Fraction eliminations -------------------
 # One hand-written Gauss-Jordan per question, as the package had them before

@@ -106,7 +106,8 @@ def test_minimize_matches_list_oracle_random(nodom6):
 @pytest.mark.parametrize("name", ["f2", "split", "path4", "nodom6"])
 def test_classic_length_is_the_image_length(request, name):
     """Inverse letters and, on split, path4 and nodom6, adjacent dominated
-    vertices (one-sided moves on star letters) included."""
+    vertices (one-sided moves on star letters) included; one length memo
+    serves every choice on a tuple, as in a descent step."""
     g = request.getfixturevalue(name)
     rng = random.Random(82)
     letters = [(v, s) for v in g.vertices for s in (1, -1)]
@@ -114,9 +115,10 @@ def test_classic_length_is_the_image_length(request, name):
         U = class_tuple(g, [tuple(rng.choice(letters)
                                   for _ in range(rng.randint(1, 6)))
                             for _ in range(rng.randint(1, 2))])
+        lengths = {}
         for m, supp in classic_choices(g):
             image = classic_whitehead(g, m, supp).aut.apply_to_tuple(U)
-            assert classic_length(g, m, supp, U) == image.length
+            assert classic_length(g, m, supp, U, lengths) == image.length
 
 
 @pytest.mark.parametrize("name", ["f2", "k2", "k3", "split", "path4",
@@ -151,7 +153,7 @@ def test_minimize_checks_every_classic_budget_first(monkeypatch, nodom6):
     minimize_tuple raises the list's error."""
     U = class_tuple(nodom6, [W("c a")])
     m, supp = next((m, supp) for m, supp in classic_choices(nodom6)
-                   if classic_length(nodom6, m, supp, U) < U.length)
+                   if classic_length(nodom6, m, supp, U, {}) < U.length)
     assert m[0] == "a"
     # per sign: 24 choices for a and b, 48 for m
     monkeypatch.setattr(aut, "CLASSIC_CHOICE_BUDGET", 24)

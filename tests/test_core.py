@@ -10,7 +10,8 @@ from raagaut.core import (DefiningGraph, canonical_class, class_tuple,
                           parse_tuple, parse_word, reduce_word, words_equal)
 from raagaut.errors import BudgetError, InputError
 
-from .oracles import (bfs_minimal_length, scan_reduce, word_bfs_canonical,
+from .oracles import (bfs_minimal_length, lexnf_trace_states,
+                      quadratic_lexnf, scan_reduce, word_bfs_canonical,
                       word_lexnf)
 
 W = parse_word
@@ -209,6 +210,105 @@ def test_lexnf_and_canonical_class_match_oracle_random(nodom6):
         assert lexnf(nodom6, red) == word_lexnf(nodom6, red)
         assert canonical_class(nodom6, w).word == \
             word_bfs_canonical(nodom6, w)
+
+
+def random_graph(rng):
+    n = rng.randint(2, 8)
+    vs = ["v%d" % i for i in range(n)]
+    rng.shuffle(vs)
+    p = rng.random()
+    return DefiningGraph(vs, [[vs[i], vs[j]] for i in range(n)
+                              for j in range(i + 1, n) if rng.random() < p])
+
+
+def test_lexnf_matches_quadratic_and_word_oracles_random():
+    # 300 graphs with 2 to 8 vertices in a shuffled declared order, 200
+    # reduced words of length up to 24 on each
+    rng = random.Random(60)
+    for _ in range(300):
+        g = random_graph(rng)
+        letters = [(v, s) for v in g.vertices for s in (1, -1)]
+        for _ in range(200):
+            w = reduce_word(g, [rng.choice(letters)
+                                for _ in range(rng.randint(0, 24))])
+            assert lexnf(g, w) == quadratic_lexnf(g, w) == \
+                word_lexnf(g, w), (g.to_json(), w)
+
+
+# A cycle of four: {a, b} and {c, d} each generate a free group, and the two
+# commute.
+C4 = (["a", "b", "c", "d"], [["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"]])
+
+
+def test_canonical_class_periodic_projections(split):
+    # a and c do not commute: every projection of (a c)^k has period 2; on
+    # (a b c d)^m the projections onto {a, c}, {a, d}, {b, c}, {b, d} do
+    for k in range(1, 9):
+        w = W("a c") * k
+        assert canonical_class(split, w).word == word_bfs_canonical(split, w)
+    for m in range(1, 7):
+        w = W("a b c d") * m
+        rot = w[5:] + w[:5]
+        assert canonical_class(split, rot).word == \
+            word_bfs_canonical(split, rot)
+
+
+def test_canonical_class_commuting_parts():
+    g = DefiningGraph(*C4)
+    rng = random.Random(7)
+    left = [W("a b a^-1 b^-1"), W("a b") * 2, W("a a b^-1"), W("a")]
+    right = [W("c d^-1") * 3, W("c d c^-1 d^-1"), W("d d c"), W("c")]
+    for u in left:
+        for v in right:
+            # shuffle the letters of the two parts together
+            marks = [0] * len(u) + [1] * len(v)
+            rng.shuffle(marks)
+            parts = [list(u), list(v)]
+            w = tuple(parts[m].pop(0) for m in marks)
+            assert canonical_class(g, w).word == word_bfs_canonical(g, w), w
+            assert canonical_class(g, w) == canonical_class(g, u + v)
+
+
+def test_canonical_class_matches_oracle_random_graphs():
+    rng = random.Random(61)
+    for _ in range(200):
+        g = random_graph(rng)
+        letters = [(v, s) for v in g.vertices for s in (1, -1)]
+        base = tuple(rng.choice(letters) for _ in range(rng.randint(1, 4)))
+        for w in (base * rng.randint(1, 3),
+                  tuple(rng.choice(letters) for _ in range(rng.randint(0, 9)))):
+            assert canonical_class(g, w).word == \
+                word_bfs_canonical(g, w), (g.to_json(), w)
+
+
+@pytest.mark.parametrize("graph, text", [
+    ("split", "a b c d a b c d a b c d"),
+    ("split", "a c a c a c"),
+    ("split", "c a c b c b"),
+    ("split", "a b^-1 c d a^-1 c d^-1 b"),
+    ("c4", "a c b d a^-1 c^-1 b^-1 d^-1"),
+    ("c4", "a c b d a c b d"),
+    ("nodom6", "a b c m e f a^-1 e"),
+])
+def test_canonical_class_budget_counts_the_trace_states(graph, text):
+    # S is the number of traces a BFS that normalizes every move reaches;
+    # the keyed BFS must count the same states
+    def fresh():
+        if graph == "c4":
+            return DefiningGraph(*C4)
+        if graph == "split":
+            return DefiningGraph(["a", "b", "c", "d"],
+                                 [["a", "b"], ["c", "d"]])
+        return DefiningGraph(["a", "b", "c", "m", "e", "f"],
+                             [["a", "m"], ["a", "f"], ["b", "m"], ["b", "e"],
+                              ["c", "m"]])
+    w = cyclically_reduce(fresh(), W(text))
+    S = len(lexnf_trace_states(fresh(), w))
+    assert S > 1
+    canonical_class(fresh(), w, budget=S)
+    message = r"^canonical_class trace states %d > budget %d$" % (S, S - 1)
+    with pytest.raises(BudgetError, match=message):
+        canonical_class(fresh(), w, budget=S - 1)
 
 
 def test_canonical_class_trace_states_stay_few():

@@ -1,19 +1,25 @@
+import pathlib
 import random
 
 import pytest
+
+import raagaut.peak as peak_module
 
 from raagaut.aut import (Automorphism, GenWhitehead, classic_whitehead,
                          enumerate_classic_whitehead, identity_automorphism,
                          is_long_range, laurence_generators, make_whitehead,
                          permutation_automorphisms, support, theta, za_basis)
-from raagaut.core import DefiningGraph, class_tuple, parse_word
+from raagaut.core import DefiningGraph, class_tuple, parse_tuple, parse_word
 from raagaut.errors import InputError
 from raagaut.peak import (Factorization, Peak, classic_factor_list,
                           classic_length_change, compose_factors,
                           complement_classic, lower_peak,
                           long_range_peak_reduce, omega_factorization,
-                          pcount, peak_reduce, shorter_factors,
-                          steinberg_conjugate, verify_lowering)
+                          intermediate_tuples, pcount, peak_reduce,
+                          shorter_factors, steinberg_conjugate,
+                          verify_lowering)
+
+from .oracles import recompute_rewrite_loop
 
 W = parse_word
 
@@ -560,3 +566,54 @@ def test_peak_reduce_longer_products(split, path4, nodom6):
             fac = peak_reduce(g, factors, Wt)
             assert fac.is_unimodal()
             assert compose_factors(g, fac.factors) == comp
+
+
+def series_peak_instances(monkeypatch, g):
+    """The fixed-seed instances of the benchmark's peak scaling series
+    (``bench/series.py``): a two-class tuple on the running example and a
+    product of Laurence generators, as (W, factors)."""
+    monkeypatch.syspath_prepend(
+        str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
+    import raag
+    import series
+    import workloads
+    gens = raag.laurence_generators(raag.SPLIT)
+    out = []
+    for i in range(series.PEAK_INSTANCES):
+        prng = random.Random("series-peak-%d" % i)
+        Wb = workloads.random_tuple(raag.SPLIT, prng, 2, series.PEAK_LENGTH)
+        picks = [(prng.randrange(len(gens)), prng.choice((1, -1)))
+                 for _ in range(max(series.PEAK_FACTORS))]
+        factors = []
+        for k, sign in picks:
+            f = gens[k] if sign > 0 else gens[k].invert()
+            factors.extend(omega_factorization(
+                g, Automorphism.from_json(g, f.to_json())))
+        out.append((parse_tuple(g, raag.format_tuple(Wb)), factors))
+    return out
+
+
+def test_peak_splice_keeps_the_intermediate_tuples(monkeypatch, split):
+    """After every lowering the spliced tuple list is the whole list
+    recomputed, and peak_reduce answers as the loop that recomputes it."""
+    splice = peak_module.splice_lowering
+    steps = []
+
+    def checked(factors, tuples, pos, low):
+        splice(factors, tuples, pos, low)
+        assert tuples == intermediate_tuples(factors, base)
+        steps.append(pos)
+
+    monkeypatch.setattr(peak_module, "splice_lowering", checked)
+
+    def lower(V, alpha, beta):
+        return lower_peak(split, Peak(V, alpha, beta))
+
+    for base, factors in series_peak_instances(monkeypatch, split):
+        for n in (2, 4, 6, 8):
+            fac = peak_reduce(split, factors[:n], base)
+            ref = recompute_rewrite_loop(split, factors[:n], base, lower)
+            assert [f.aut.key() for f in fac.factors] == \
+                [f.aut.key() for f in ref]
+            assert fac.profile == Factorization(ref, base).profile
+    assert steps
