@@ -1,8 +1,9 @@
 """Command line interface.
 
-Every positive answer ships a machine-checkable certificate which is
-re-verified before printing; exit code 0 means the question was decided
-(either way), 1 is an input error, 2 a budget exhaustion.
+Every positive answer ships a machine-checkable certificate, checked once
+by the library function that builds it before it is printed; exit code 0
+means the question was decided (either way), 1 is an input error, 2 a
+budget exhaustion.
 """
 
 from __future__ import annotations
@@ -15,14 +16,14 @@ from fractions import Fraction
 
 from .apps import (aut_orbit_decide, minimize_tuple, stabilizer_generators,
                    stabilizer_presentation)
-from .aut import Automorphism, identity_automorphism
+from .aut import Automorphism
 from .core import (DefiningGraph, canonical_class, format_word, parse_tuple,
                    parse_word, reduce_word)
 from .errors import BudgetError, InputError
 from .exactmat import mat_eq
 from .linalg import (BlockMatrix, g1_orbit_decide, g1_stabilizer_presentation,
                      gq_normal_form, is_normal_form, target_lcd)
-from .peak import compose_factors, omega_factorization, peak_reduce
+from .peak import omega_factorization, peak_reduce
 from .whorbit import parse_support, wh_orbit_decide, wh_stabilizer_presentation
 
 EXIT_OK = 0
@@ -69,8 +70,7 @@ def block_to_json(D: BlockMatrix):
             "B": [[str(x) for x in r] for r in D.B]}
 
 
-def presentation_report(pres, verify):
-    verify()
+def presentation_report(pres):
     return {"generators": [name for name, _ in pres.generators],
             "n_generators": len(pres.generators),
             "n_relators": len(pres.relators),
@@ -204,8 +204,6 @@ def cmd_orbit(args):
     if alpha is None:
         emit(args, {"equivalent": False}, ["not in the same orbit"])
         return EXIT_OK
-    if alpha.apply_to_tuple(U) != V:
-        raise AssertionError("certificate failed re-verification")
     emit(args, {"equivalent": True, "automorphism": alpha.to_json()},
          ["equivalent via:", json.dumps(alpha.to_json())])
     return EXIT_OK
@@ -215,8 +213,6 @@ def cmd_minimize(args):
     g = need_graph(args)
     U = parse_tuple(g, need(args, "tuple1", "--tuple"))
     m, mu = minimize_tuple(g, U)
-    if mu.apply_to_tuple(U) != m:
-        raise AssertionError("certificate failed re-verification")
     emit(args, {"minimal": [format_word(c.word) for c in m.entries],
                 "length": m.length, "automorphism": mu.to_json()},
          ["minimal tuple: " + "; ".join(format_word(c.word) or "1"
@@ -230,9 +226,6 @@ def cmd_stab_gens(args):
     g = need_graph(args)
     W = parse_tuple(g, need(args, "tuple1", "--tuple"))
     gens = stabilizer_generators(g, W, max_vertices=args.max_vertices)
-    for x in gens:
-        if x.apply_to_tuple(W) != W:
-            raise AssertionError("certificate failed re-verification")
     emit(args, {"generators": [x.to_json() for x in gens]},
          ["%d generators" % len(gens)] +
          [json.dumps(x.to_json()) for x in gens])
@@ -243,12 +236,7 @@ def cmd_stab_pres(args):
     g = need_graph(args)
     W = parse_tuple(g, need(args, "tuple1", "--tuple"))
     pres = stabilizer_presentation(g, W, max_vertices=args.max_vertices)
-
-    def verify():
-        pres.check_relators(Automorphism.compose, Automorphism.invert,
-                            identity_automorphism(g))
-
-    data = presentation_report(pres, verify)
+    data = presentation_report(pres)
     emit(args, data, ["%d generators, %d relators"
                       % (data["n_generators"], data["n_relators"])])
     return EXIT_OK
@@ -266,8 +254,6 @@ def cmd_wh_orbit(args):
     if wh is None:
         emit(args, {"equivalent": False}, ["no such element"])
         return EXIT_OK
-    if wh.aut.apply_to_tuple(U) != V:
-        raise AssertionError("certificate failed re-verification")
     emit(args, {"equivalent": True, "automorphism": wh.aut.to_json()},
          ["equivalent via:", json.dumps(wh.aut.to_json())])
     return EXIT_OK
@@ -282,13 +268,7 @@ def cmd_wh_stab(args):
     U = parse_tuple(g, need(args, "tuple1", "--tuple"))
     pres, _ = wh_stabilizer_presentation(g, a, S, U,
                                          max_vertices=args.max_vertices)
-
-    def verify():
-        for nm, wh in pres.generators:
-            if wh.aut.apply_to_tuple(U) != U:
-                raise AssertionError("generator failed re-verification")
-
-    data = presentation_report(pres, verify)
+    data = presentation_report(pres)
     data["generator_images"] = {nm: wh.aut.to_json()
                                 for nm, wh in pres.generators}
     emit(args, data, ["%d generators, %d relators"
@@ -302,8 +282,6 @@ def cmd_peak_reduce(args):
     aut = Automorphism.load(g, need(args, "aut", "--aut"))
     factors = omega_factorization(g, aut)
     fac = peak_reduce(g, factors, W, budget=args.max_depth)
-    if compose_factors(g, fac.factors) != aut:
-        raise AssertionError("certificate failed re-verification")
     data = fac.to_json()
     emit(args, data, ["profile: %s" % (fac.profile,),
                       "%d factors" % len(fac.factors)])
@@ -337,9 +315,6 @@ def cmd_matrix_orbit(args):
              ["not equivalent (%s)" % cert.reason])
         return EXIT_OK
     D = cert.witness
-    if not mat_eq(D.act(rows_a), tuple(tuple(map(Fraction, r))
-                                       for r in rows_b)):
-        raise AssertionError("certificate failed re-verification")
     emit(args, {"equivalent": True, "witness": block_to_json(D)},
          ["equivalent via:", json.dumps(block_to_json(D))])
     return EXIT_OK
@@ -366,12 +341,9 @@ def cmd_matrix_stab(args):
     S = parse_support_columns(args, k)
     pres, _ = g1_stabilizer_presentation(rows, n, k, S,
                                          max_vertices=args.max_vertices)
-
-    def verify():
-        pres.check_relators(BlockMatrix.mul, BlockMatrix.inv,
-                            BlockMatrix.identity(n, k))
-
-    data = presentation_report(pres, verify)
+    pres.check_relators(BlockMatrix.mul, BlockMatrix.inv,
+                        BlockMatrix.identity(n, k))
+    data = presentation_report(pres)
     data["generator_matrices"] = {nm: block_to_json(p)
                                   for nm, p in pres.generators}
     emit(args, data, ["%d generators, %d relators"

@@ -13,8 +13,10 @@ classes use a Steinberg relation, mutual non-adjacent domination reduces to
 the classic long-range machinery, one-sided domination runs the iterative
 loop with shorter-factor replacements, and no domination recurses on the
 support intersection.  Classic long-range peaks are lowered by a bounded
-search over the finite classic move set with exact composition checks;
-every assembled factorization is re-verified before it is returned.
+search over the finite classic move set.  Every lowering enters a
+factorization through ``rewrite_loop``, which checks it once with
+``verify_lowering`` before splicing it in; ``peak_reduce`` checks that its
+result composes to its input.
 """
 
 from __future__ import annotations
@@ -31,24 +33,6 @@ from .errors import BudgetError
 
 ASYM_LOOP_BUDGET = 400
 REWRITE_BUDGET = 20_000
-
-
-class Peak:
-    """A validated peak (W, alpha, beta)."""
-
-    __slots__ = ("tuple", "alpha", "beta")
-
-    def __init__(self, tup: ClassTuple, alpha: GenWhitehead,
-                 beta: GenWhitehead):
-        la = alpha.aut.apply_to_tuple(tup).length
-        lb = beta.aut.apply_to_tuple(tup).length
-        if not (la <= tup.length >= lb and (la < tup.length
-                                            or lb < tup.length)):
-            raise InputError("not a peak: |aW|=%d |bW|=%d |W|=%d"
-                             % (la, lb, tup.length))
-        self.tuple = tup
-        self.alpha = alpha
-        self.beta = beta
 
 
 class Factorization:
@@ -107,21 +91,20 @@ def compose_factors(g, factors) -> Automorphism:
     return out
 
 
-def verify_lowering(g, factors, peak_tuple, alpha, beta):
-    """A lowering of (W, alpha, beta): composition is beta*alpha^-1 and all
-    proper intermediate images of alpha*W are strictly below |W|."""
-    factors = list(factors)
+def verify_lowering(g, factors, peak_tuple, alpha, beta, base):
+    """Check a lowering of the peak (W, alpha, beta), given with
+    ``base = alpha*W``: the factors, identity factors included, compose to
+    beta*alpha^-1 and every proper intermediate image of alpha*W is
+    strictly below |W|.  Returns the tuple each factor acts on, base
+    first."""
     target = beta.aut.compose(alpha.aut.invert())
     if compose_factors(g, factors) != target:
         raise AssertionError("lowering does not compose to beta*alpha^-1")
-    base = alpha.aut.apply_to_tuple(peak_tuple)
-    cur = base
-    for f in factors[:-1]:
-        cur = f.aut.apply_to_tuple(cur)
-        if cur.length >= peak_tuple.length:
-            raise AssertionError("lowering has an intermediate at full "
-                                 "height")
-    return factors
+    images = intermediate_tuples(factors[:-1], base)
+    if any(t.length >= peak_tuple.length for t in images[1:]):
+        raise AssertionError("lowering has an intermediate at full "
+                             "height")
+    return images
 
 
 # -- length change brackets --------------------------------------------------
@@ -399,8 +382,9 @@ def find_peak_position(profile):
 def rewrite_loop(g, factors, base, lower, budget=None):
     """Repeatedly replace a maximal peak with a lowering until the profile
     is unimodal, in at most ``budget`` steps (None: ``REWRITE_BUDGET``).
-    The measure (max interior height, positions at it) is asserted to
-    decrease lexicographically."""
+    Each lowering is checked once, by ``verify_lowering``, before it is
+    spliced in.  The measure (max interior height, positions at it) is
+    asserted to decrease lexicographically."""
     if budget is None:
         budget = REWRITE_BUDGET
     factors = [f for f in factors if not f.aut.is_identity()]
@@ -426,19 +410,19 @@ def rewrite_loop(g, factors, base, lower, budget=None):
         alpha = factors[pos - 1].invert()
         beta = factors[pos]
         low = lower(V, alpha, beta)
-        verify_lowering(g, low, V, alpha, beta)
-        splice_lowering(factors, tuples, pos, low)
+        images = verify_lowering(g, low, V, alpha, beta, tuples[pos - 1])
+        splice_lowering(factors, tuples, pos, low, images)
 
 
-def splice_lowering(factors, tuples, pos, low):
+def splice_lowering(factors, tuples, pos, low, images):
     """Replace the factors pos-1 and pos, around the peak ``tuples[pos]``,
-    by the lowering ``low`` with its identity factors dropped, and its
-    intermediate tuples for the peak.  The lowering composes to the two
-    factors it replaces, so every other tuple stays."""
-    low = [f for f in low if not f.aut.is_identity()]
-    mids = intermediate_tuples(low[:-1], tuples[pos - 1]) if low else []
-    factors[pos - 1:pos + 1] = low
-    tuples[pos - 1:pos + 1] = mids
+    by the lowering ``low`` with its identity factors dropped, and the
+    peak by the tuples they act on (``images``, from ``verify_lowering``).
+    The lowering composes to the two factors it replaces, so every other
+    tuple stays."""
+    kept = [(f, t) for f, t in zip(low, images) if not f.aut.is_identity()]
+    factors[pos - 1:pos + 1] = [f for f, _ in kept]
+    tuples[pos - 1:pos + 1] = [t for _, t in kept]
 
 
 def long_range_peak_reduce(g, factors, W: ClassTuple, cls=None,
@@ -479,16 +463,10 @@ def invert_lowering(factors):
 
 # -- the main case analysis ---------------------------------------------------
 
-def lower_peak(g, peak: Peak) -> Factorization:
-    """A lowering factorization of beta*alpha^-1 for a validated peak, per
-    the main case dispatch; the result is re-verified before returning."""
-    V, alpha, beta = peak.tuple, peak.alpha, peak.beta
-    factors = _dispatch(g, V, alpha, beta)
-    verify_lowering(g, factors, V, alpha, beta)
-    return Factorization(factors, alpha.aut.apply_to_tuple(V))
-
-
-def _dispatch(g, V, alpha, beta):
+def lower_peak(g, V, alpha, beta):
+    """A lowering of the peak (V, alpha, beta), as a factor list of
+    beta*alpha^-1, per the main case dispatch.  The caller checks it:
+    ``rewrite_loop`` runs ``verify_lowering`` on every lowering."""
     if alpha.aut.is_identity():
         return [beta]
     if beta.aut.is_identity():
@@ -509,8 +487,7 @@ def _dispatch(g, V, alpha, beta):
             gamma = steinberg_conjugate(alpha, beta)
             return [gamma, alpha.invert()]
         if fixes_class_pointwise(beta, g.adjdom_class(a)):
-            swapped = _dispatch(g, V, beta, alpha)
-            return invert_lowering(swapped)
+            return invert_lowering(lower_peak(g, V, beta, alpha))
         raise AssertionError("adjacent multipliers with no fixed class")
     bdom = g.dominates(b, a)
     adom = g.dominates(a, b)
@@ -897,7 +874,7 @@ def peak_reduce(g, factors, W: ClassTuple, budget=None) -> Factorization:
     original = compose_factors(g, factors)
 
     def lower(V, alpha, beta):
-        return lower_peak(g, Peak(V, alpha, beta))
+        return lower_peak(g, V, alpha, beta)
 
     out = rewrite_loop(g, factors, W, lower, budget)
     result = Factorization(out, W)

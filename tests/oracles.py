@@ -484,7 +484,7 @@ def recompute_rewrite_loop(g, factors, base, lower, budget=20_000):
         alpha = factors[pos - 1].invert()
         beta = factors[pos]
         low = lower(V, alpha, beta)
-        verify_lowering(g, low, V, alpha, beta)
+        verify_lowering(g, low, V, alpha, beta, tuples[pos - 1])
         factors[pos - 1:pos + 1] = low
         factors = [f for f in factors if not f.aut.is_identity()]
 

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from raagaut import apps, linalg, peak, whorbit
+from raagaut.aut import GenWhitehead, inversion
 from raagaut.cli import main
+from raagaut.linalg import BlockMatrix, Presentation
 
 GRAPH_SPLIT = '{"vertices": ["a","b","c","d"], "edges": [["a","b"],["c","d"]]}'
 GRAPH_F2 = '{"vertices": ["a","b"], "edges": []}'
@@ -316,3 +319,95 @@ def test_budget_flags_outside_their_searches_are_input_errors(
     # without the flag the same query answers
     code, out, err = run(argv + ["--json"], capsys)
     assert code == 0 and err == ""
+
+
+def flipped(x):
+    """x followed by the inversion of every generator (for a block matrix,
+    minus the identity), so a certificate built from it is wrong."""
+    if isinstance(x, BlockMatrix):
+        minus = [[-int(i == j) for j in range(x.n)] for i in range(x.n)]
+        return BlockMatrix(x.n, x.k, minus,
+                           [[0] * x.k for _ in range(x.n)]).mul(x)
+    if isinstance(x, GenWhitehead):
+        return GenWhitehead(flipped(x.aut), x.vertex)
+    for v in x.graph.vertices:
+        x = inversion(x.graph, v).compose(x)
+    return x
+
+
+def flip_result(fn):
+    return lambda *args, **kwargs: flipped(fn(*args, **kwargs))
+
+
+def flip_loops(fn):
+    def wrong(self, base, letter, mul, inv, identity):
+        parent, loops = fn(self, base, letter, mul, inv, identity)
+        return parent, [(idx, flipped(elem)) for idx, elem in loops]
+    return wrong
+
+
+def flip_first_generator(fn):
+    def wrong(*args, **kwargs):
+        pres = fn(*args, **kwargs)
+        (name, x), *rest = pres.generators
+        return Presentation([(name, flipped(x))] + rest, pres.relators)
+    return wrong
+
+
+def add_false_relator(pres_cls):
+    def wrong(gens, relators):
+        name = next(nm for nm, x in gens if not x.is_identity())
+        return pres_cls(gens, list(relators) + [((name, 1),)])
+    return wrong
+
+
+def append_inversion(fn):
+    def wrong(g, factors, base, lower, budget=None):
+        out = fn(g, factors, base, lower, budget)
+        return out + [GenWhitehead(inversion(g, g.vertices[0]),
+                                   g.vertices[0])]
+    return wrong
+
+
+@pytest.mark.parametrize("command,module,name,wrong,message", [
+    (["orbit", "--graph", "{f2}", "--tuple", "a b b", "--tuple2", "b a"],
+     apps.OrbitGraph, "path_element", flip_result,
+     "orbit witness does not map U to V"),
+    (["minimize", "--graph", "{f2}", "--tuple", "a a b"],
+     apps, "identity_automorphism", flip_result,
+     "minimizer does not map to the minimum"),
+    (["stab-gens", "--graph", "{f2}", "--tuple", "a"],
+     apps.OrbitGraph, "schreier_generators", flip_loops,
+     "stabilizer generator moves W"),
+    (["stab-pres", "--graph", "{f2}", "--tuple", "a"],
+     apps, "Presentation", add_false_relator,
+     "relator is not the identity"),
+    (["wh-orbit", "--graph", "{split}", "--vertex", "a", "--tuple",
+      "c a c b c b", "--tuple2", "c b c a b c b"],
+     whorbit, "theta", flip_result, "orbit witness does not map U to V"),
+    (["wh-stab", "--graph", "{split}", "--vertex", "a", "--tuple",
+      "c a c b"],
+     whorbit, "presentation_from_finite_index", flip_first_generator,
+     "stabilizer generator moves U"),
+    (["peak-reduce", "--graph", "{f2}", "--tuple", "a", "--aut", "{aut}"],
+     peak, "rewrite_loop", append_inversion,
+     "peak reduction changed the automorphism"),
+    (["matrix-orbit", "--matrix", "{example}", "--matrix2", "{example}"],
+     linalg, "_lift_block", flip_result,
+     "orbit witness does not map A to B"),
+])
+def test_wrong_certificates_stop_the_command(files, capsys, monkeypatch,
+                                             command, module, name, wrong,
+                                             message):
+    """Each command's certificate is checked by the library function that
+    builds it: a wrong one raises that check's error from ``main``, which
+    prints nothing and returns no exit code."""
+    aut = files["dir"] / "aut.json"
+    aut.write_text(json.dumps(F2_AUT))
+    argv = [a.format(aut=aut, **files) for a in command]
+    code, _, err = run(argv + ["--json"], capsys)
+    assert code == 0 and err == ""
+    monkeypatch.setattr(module, name, wrong(getattr(module, name)))
+    with pytest.raises(AssertionError, match=message):
+        main(argv + ["--json"])
+    assert capsys.readouterr().out == ""

@@ -7,16 +7,17 @@ import raagaut.peak as peak_module
 
 from raagaut.aut import (Automorphism, GenWhitehead, classic_whitehead,
                          enumerate_classic_whitehead, identity_automorphism,
-                         is_long_range, laurence_generators, make_whitehead,
-                         permutation_automorphisms, support, theta, za_basis)
+                         inversion, is_long_range, laurence_generators,
+                         make_whitehead, permutation_automorphisms, support,
+                         theta, za_basis)
 from raagaut.core import DefiningGraph, class_tuple, parse_tuple, parse_word
 from raagaut.errors import InputError
-from raagaut.peak import (Factorization, Peak, classic_factor_list,
+from raagaut.peak import (Factorization, classic_factor_list,
                           classic_length_change, compose_factors,
-                          complement_classic, lower_peak,
-                          long_range_peak_reduce, omega_factorization,
-                          intermediate_tuples, pcount, peak_reduce,
-                          shorter_factors, steinberg_conjugate,
+                          complement_classic, find_peak_position, lower_peak,
+                          long_range_peak_reduce, move_universe,
+                          omega_factorization, intermediate_tuples, pcount,
+                          peak_reduce, shorter_factors, steinberg_conjugate,
                           verify_lowering)
 
 from .oracles import recompute_rewrite_loop
@@ -56,6 +57,8 @@ def random_tuple(g, rng, maxlen=4, arity=(1, 2)):
 
 
 def find_peak(g, a, b, rng, tries=500):
+    """A peak (V, alpha, beta) with alpha, beta random elements of the
+    Whitehead groups of [a] and [b], or None."""
     for _ in range(tries):
         al = random_whitehead(g, a, rng)
         be = random_whitehead(g, b, rng)
@@ -69,8 +72,17 @@ def find_peak(g, a, b, rng, tries=500):
             lb = be.aut.apply_to_tuple(cand).length
             if la <= cand.length >= lb and (la < cand.length
                                             or lb < cand.length):
-                return Peak(cand, al, be)
+                return cand, al, be
     return None
+
+
+def checked_lowering(g, peak):
+    """``lower_peak``'s lowering of a peak (V, alpha, beta), checked as
+    ``rewrite_loop`` checks every lowering."""
+    V, alpha, beta = peak
+    low = lower_peak(g, V, alpha, beta)
+    verify_lowering(g, low, V, alpha, beta, alpha.aut.apply_to_tuple(V))
+    return low
 
 
 # -- pcount and length change -------------------------------------------------
@@ -358,7 +370,7 @@ def test_lower_peak_same_class_single_factor(split):
     rng = random.Random(36)
     p = find_peak(split, "a", "b", rng)
     assert p is not None  # same multiplier class {a, b}
-    F = lower_peak(split, p)
+    F = checked_lowering(split, p)
     assert len(F) <= 1
 
 
@@ -369,9 +381,10 @@ def test_lower_peak_permutation_case(f2):
                         {"a": W("a"), "b": W("b a")},
                         {"a": W("a"), "b": W("b a^-1")})
     Wt = tr.aut.invert().apply_to_tuple(class_tuple(f2, [W("b")]))
-    p = Peak(Wt, swap, tr)
-    F = lower_peak(f2, p)
-    verify_lowering(f2, F, Wt, swap, tr)
+    heights = [swap.aut.apply_to_tuple(Wt).length, Wt.length,
+               tr.aut.apply_to_tuple(Wt).length]
+    assert find_peak_position(heights) == 1
+    checked_lowering(f2, (Wt, swap, tr))
 
 
 @pytest.mark.parametrize("pair", [("a", "c"), ("a", "d"), ("b", "c"),
@@ -383,7 +396,7 @@ def test_lower_peak_path_graph_pairs(path4, pair):
         p = find_peak(path4, pair[0], pair[1], rng, tries=300)
         if p is None:
             continue
-        lower_peak(path4, p)
+        checked_lowering(path4, p)
         lowered += 1
     assert lowered > 0 or pair == ("a", "d")  # tiny groups may lack peaks
 
@@ -395,7 +408,7 @@ def test_lower_peak_nodom(nodom6):
         p = find_peak(nodom6, "a", "b", rng, tries=600)
         if p is None:
             continue
-        lower_peak(nodom6, p)
+        checked_lowering(nodom6, p)
         lowered += 1
     assert lowered >= 4
 
@@ -408,19 +421,9 @@ def test_lower_peak_bothdom(f2, split):
             p = find_peak(g, pair[0], pair[1], rng, tries=400)
             if p is None:
                 continue
-            lower_peak(g, p)
+            checked_lowering(g, p)
             lowered += 1
         assert lowered >= 3
-
-
-def test_not_a_peak_rejected(f2):
-    tr = make_whitehead(f2, "a",
-                        {"a": W("a"), "b": W("b a")},
-                        {"a": W("a"), "b": W("b a^-1")})
-    Wt = class_tuple(f2, [W("b")])  # tr lengthens this
-    ident = GenWhitehead(identity_automorphism(f2), "a")
-    with pytest.raises(InputError):
-        Peak(Wt, tr, ident)
 
 
 # -- classic factor lists and long-range reduction ------------------------------
@@ -543,7 +546,7 @@ def test_lower_peak_soak_all_pairs(f2, split, path4, nodom6):
                     p = find_peak(g, a, b, rng, tries=120)
                     if p is None:
                         continue
-                    lower_peak(g, p)
+                    checked_lowering(g, p)
                     hits += 1
                     lowered += 1
     assert lowered >= 60
@@ -599,15 +602,15 @@ def test_peak_splice_keeps_the_intermediate_tuples(monkeypatch, split):
     splice = peak_module.splice_lowering
     steps = []
 
-    def checked(factors, tuples, pos, low):
-        splice(factors, tuples, pos, low)
+    def checked(factors, tuples, pos, low, images):
+        splice(factors, tuples, pos, low, images)
         assert tuples == intermediate_tuples(factors, base)
         steps.append(pos)
 
     monkeypatch.setattr(peak_module, "splice_lowering", checked)
 
     def lower(V, alpha, beta):
-        return lower_peak(split, Peak(V, alpha, beta))
+        return lower_peak(split, V, alpha, beta)
 
     for base, factors in series_peak_instances(monkeypatch, split):
         for n in (2, 4, 6, 8):
@@ -617,3 +620,112 @@ def test_peak_splice_keeps_the_intermediate_tuples(monkeypatch, split):
                 [f.aut.key() for f in ref]
             assert fac.profile == Factorization(ref, base).profile
     assert steps
+
+
+def counted(monkeypatch, name):
+    """Replace the peak module's ``name`` by a wrapper that records its
+    calls; returns the list of recorded calls."""
+    calls = []
+    fn = getattr(peak_module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(peak_module, name, wrapper)
+    return calls
+
+
+def classic_peak_pairs(g, Wt):
+    """[m1, m2] for each classic move m1 that lengthens Wt and each move m2,
+    other than m1^-1, that shortens m1 Wt again: a factor list whose
+    profile has a peak in the middle."""
+    moves, _ = move_universe(g)
+    pairs = []
+    for m1 in moves:
+        V = m1.aut.apply_to_tuple(Wt)
+        if V.length <= Wt.length:
+            continue
+        pairs += [[m1, m2] for m2 in moves
+                  if m2.aut.apply_to_tuple(V).length < V.length
+                  and m2.aut != m1.aut.invert()]
+    return pairs
+
+
+def test_verify_lowering_runs_once_per_lowering(monkeypatch, split, f2):
+    """Every lowering is checked exactly once: by the ``rewrite_loop`` that
+    splices it in, including the loops nested inside a lowering.  The peak
+    series instances on split exercise ``peak_reduce``; every classic
+    long-range move on split keeps every length, so the classic lowerings of
+    ``long_range_peak_reduce`` are counted on F2 peaks."""
+    verified = counted(monkeypatch, "verify_lowering")
+    spliced = counted(monkeypatch, "splice_lowering")
+    classic = counted(monkeypatch, "lower_classic_peak")
+    for base, factors in series_peak_instances(monkeypatch, split):
+        for n in (2, 4, 6, 8):
+            peak_reduce(split, factors[:n], base)
+    assert spliced and not classic
+    assert len(verified) == len(spliced)
+
+    Wt = class_tuple(f2, [W("a b a b^-1 a^-1 b b")])
+    pairs = classic_peak_pairs(f2, Wt)
+    assert pairs
+    for reduce in (long_range_peak_reduce, peak_reduce):
+        del verified[:], spliced[:], classic[:]
+        for factors in pairs:
+            reduce(f2, factors, Wt)
+        assert classic
+        assert len(verified) == len(spliced)
+        if reduce is long_range_peak_reduce:
+            assert len(classic) == len(spliced)
+        else:
+            assert len(classic) < len(spliced)
+
+
+def wrong_lowerings(g, V, alpha, beta, low):
+    """Two lowerings of the peak (V, alpha, beta) that ``verify_lowering``
+    must reject: ``low`` followed by an inversion, which composes to the
+    wrong element, and the peak itself, whose intermediate is V."""
+    v = next(f.vertex for f in (alpha, beta) if f.vertex is not None)
+    flip = GenWhitehead(inversion(g, v), v)
+    return ((low + [flip], "lowering does not compose to beta\\*alpha\\^-1"),
+            ([alpha.invert(), beta], "intermediate at full height"))
+
+
+@pytest.mark.parametrize("kind", [0, 1])
+def test_rewrite_loop_rejects_a_wrong_lower_peak(monkeypatch, split, kind):
+    """A wrong lowering from ``lower_peak`` stops ``peak_reduce`` with the
+    check's message."""
+    lower = peak_module.lower_peak
+
+    def wrong(g, V, alpha, beta):
+        low = lower(g, V, alpha, beta)
+        bad, message = wrong_lowerings(g, V, alpha, beta, low)[kind]
+        wrong.message = message
+        return bad
+
+    monkeypatch.setattr(peak_module, "lower_peak", wrong)
+    base, factors = series_peak_instances(monkeypatch, split)[0]
+    with pytest.raises(AssertionError) as info:
+        peak_reduce(split, factors, base)
+    assert info.match(wrong.message)
+
+
+@pytest.mark.parametrize("kind", [0, 1])
+def test_rewrite_loop_rejects_a_wrong_classic_lowering(monkeypatch, f2,
+                                                        kind):
+    """The same for a wrong lowering from ``lower_classic_peak``, under
+    ``long_range_peak_reduce``."""
+    lower = peak_module.lower_classic_peak
+
+    def wrong(g, V, alpha, beta, moves, index):
+        low = lower(g, V, alpha, beta, moves, index)
+        bad, message = wrong_lowerings(g, V, alpha, beta, low)[kind]
+        wrong.message = message
+        return bad
+
+    monkeypatch.setattr(peak_module, "lower_classic_peak", wrong)
+    Wt = class_tuple(f2, [W("a b a b^-1 a^-1 b b")])
+    with pytest.raises(AssertionError) as info:
+        long_range_peak_reduce(f2, classic_peak_pairs(f2, Wt)[0], Wt)
+    assert info.match(wrong.message)

@@ -161,3 +161,25 @@ def test_no_unread_local_assignments():
         found += ["%s: %s.%s" % (path.name, func, name)
                   for func, name in sorted(_unread_locals(tree))]
     assert not found, "locals assigned and never read: %s" % found
+
+
+def test_cli_checks_only_what_no_library_function_checks():
+    """A certificate is checked once, by the library function that builds
+    it.  The CLI raises ``AssertionError`` and checks relators only for the
+    two results the library returns unchecked: ``gq_normal_form``'s normal
+    form and ``g1_stabilizer_presentation``'s relators."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    found = set()
+    for func in tree.body:
+        for node in ast.walk(func):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                if getattr(exc, "id", None) == "AssertionError":
+                    found.add(("raise", func.name))
+            if isinstance(node, ast.Attribute) \
+                    and node.attr == "check_relators":
+                found.add(("check_relators", func.name))
+    assert found == {("raise", "cmd_matrix_nf"),
+                     ("check_relators", "cmd_matrix_stab")}, \
+        "checks in cli.py: %s" % sorted(found)
