@@ -22,7 +22,7 @@ from .aut import (Automorphism, classic_choices, classic_whitehead,
                   enumerate_classic_whitehead, identity_automorphism,
                   is_long_range, permutation_automorphisms, support, theta,
                   za_dims)
-from .core import ClassTuple, canonical_class, cyclically_reduce, reduce_word
+from .core import ClassTuple, conj_class, cyclically_reduce, reduce_word
 from .errors import BudgetError, InputError
 from .linalg import LabeledGraph, Presentation, g1_orbit_decide
 from .peak import (classic_factor_list, fixes_class_pointwise,
@@ -124,7 +124,7 @@ def wh_reachable(g, a, U: ClassTuple, shorter=False, zero_columns=frozenset(),
         words = []
         for b in range(len(cand.blocks)):
             word = cand.class_word(b)
-            cls = canonical_class(g, word)
+            cls = conj_class(g, word)
             if cls.length != len(word):
                 ok = False
                 break

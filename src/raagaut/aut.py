@@ -13,9 +13,8 @@ import json
 from itertools import product
 from math import prod
 
-from .core import (InputError, Word, canonical_class, format_word,
-                   inverse_word, lexnf, parse_word, power_word, reduce_word,
-                   ClassTuple)
+from .core import (InputError, Word, conj_class, format_word, inverse_word,
+                   lexnf, parse_word, power_word, reduce_word, ClassTuple)
 from .errors import BudgetError
 from .linalg import BlockMatrix
 
@@ -84,7 +83,7 @@ class Automorphism:
         return self._map_word(self.inverse_images, word)
 
     def apply_to_class(self, cls):
-        return canonical_class(self.graph, self.apply_to_word(cls.word))
+        return conj_class(self.graph, self.apply_to_word(cls.rep))
 
     def apply_to_tuple(self, tup: ClassTuple) -> ClassTuple:
         return ClassTuple([self.apply_to_class(c) for c in tup])

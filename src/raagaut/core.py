@@ -301,24 +301,37 @@ def cyclically_reduce(g, word) -> Word:
 
 
 class ConjClass:
-    """A conjugacy class, held by its canonical cyclic representative.
+    """A conjugacy class, held by ``rep``, a cyclically reduced word of it,
+    and ``length``, the common length of those words (Servatius 1989).
 
-    The canonical word is the lexicographically least word (under the
-    declared generator order) among the cyclically reduced words of the
+    ``word`` is the canonical word: the lexicographically least word (under
+    the declared generator order) among the cyclically reduced words of the
     class, found as the least ``lexnf`` over the traces that
-    ``canonical_class`` reaches.
+    ``canonical_class`` reaches.  It is computed the first time it is read,
+    so a class that is only measured runs no BFS; comparing, hashing and
+    printing read it.
     """
 
-    __slots__ = ("word", "length")
+    __slots__ = ("graph", "rep", "length", "_word")
 
-    def __init__(self, word, _token=None):
+    def __init__(self, graph, rep, word=None, _token=None):
         if _token is not _CONJ_TOKEN:
-            raise TypeError("use canonical_class() to build ConjClass values")
-        self.word = word
-        self.length = len(word)
+            raise TypeError("use conj_class() or canonical_class() to build "
+                            "ConjClass values")
+        self.graph = graph
+        self.rep = rep
+        self.length = len(rep)
+        self._word = word
+
+    @property
+    def word(self):
+        if self._word is None:
+            self._word = canonical_class(self.graph, self.rep).word
+        return self._word
 
     def __eq__(self, other):
-        return isinstance(other, ConjClass) and self.word == other.word
+        return (isinstance(other, ConjClass) and self.length == other.length
+                and self.word == other.word)
 
     def __hash__(self):
         return hash(self.word)
@@ -373,9 +386,22 @@ def _projection_slots(g, word):
     return slots, periods
 
 
+def conj_class(g, word) -> ConjClass:
+    """The conjugacy class of ``word``, held by its cyclic reduction and
+    memoized per graph; no BFS runs until its canonical word is read."""
+    w = cyclically_reduce(g, word)
+    memo = g._cache.setdefault("conj", {})
+    cls = memo.get(w)
+    if cls is None:
+        cls = memo[w] = ConjClass(g, w, None, _CONJ_TOKEN)
+    return cls
+
+
 def canonical_class(g, word, budget=None) -> ConjClass:
-    """Canonical representative by a BFS over the traces of the cyclic
-    conjugates of a cyclically reduced representative.
+    """The class of ``word`` with its canonical word, by a BFS over the
+    traces of the cyclic conjugates of a cyclically reduced representative.
+    It runs where a class's canonical word is first read, and where a
+    caller asks for the canonical word at once.
 
     A move sends a letter that can come to the front to the back.
     Cyclically reduced words are conjugate iff commutations and rotations
@@ -423,8 +449,8 @@ def canonical_class(g, word, budget=None) -> ConjClass:
                         nxt.append((v, moved))
             frontier = nxt
         key = _trace_table(g)[3]
-        cls = ConjClass(min(forms, key=lambda u: [key[x] for x in u]),
-                        _CONJ_TOKEN)
+        least = min(forms, key=lambda u: [key[x] for x in u])
+        cls = ConjClass(g, least, least, _CONJ_TOKEN)
         for u in forms:
             memo[u] = cls
     memo[w] = cls
@@ -465,7 +491,7 @@ class ClassTuple:
 
 
 def class_tuple(g, words) -> ClassTuple:
-    return ClassTuple([canonical_class(g, w) for w in words])
+    return ClassTuple([conj_class(g, w) for w in words])
 
 
 def parse_tuple(g, text) -> ClassTuple:

@@ -17,6 +17,10 @@ search over the finite classic move set.  Every lowering enters a
 factorization through ``rewrite_loop``, which checks it once with
 ``verify_lowering`` before splicing it in; ``peak_reduce`` checks that its
 result composes to its input.
+
+Heights are sums of cyclic lengths, which a class holds from a cyclically
+reduced word, so peak reduction runs no conjugacy BFS on the tuples it
+passes through.
 """
 
 from __future__ import annotations
@@ -37,14 +41,17 @@ REWRITE_BUDGET = 20_000
 
 class Factorization:
     """A factorization by generalized Whitehead automorphisms, first-applied
-    first, with its length profile on a base tuple."""
+    first, with its length profile on a base tuple: ``profile`` when given
+    (the lengths of the tuples the factors act on, base first, and the
+    last image), else computed."""
 
     __slots__ = ("factors", "base", "profile")
 
-    def __init__(self, factors, base: ClassTuple):
+    def __init__(self, factors, base: ClassTuple, profile=None):
         self.factors = list(factors)
         self.base = base
-        self.profile = profile_of(self.factors, base)
+        self.profile = profile_of(self.factors, base) if profile is None \
+            else profile
 
     def __len__(self):
         return len(self.factors)
@@ -379,12 +386,13 @@ def find_peak_position(profile):
     return best
 
 
-def rewrite_loop(g, factors, base, lower, budget=None):
+def rewrite_loop(g, factors, base, lower, budget=None) -> Factorization:
     """Repeatedly replace a maximal peak with a lowering until the profile
     is unimodal, in at most ``budget`` steps (None: ``REWRITE_BUDGET``).
     Each lowering is checked once, by ``verify_lowering``, before it is
     spliced in.  The measure (max interior height, positions at it) is
-    asserted to decrease lexicographically."""
+    asserted to decrease lexicographically.  The result carries the
+    profile of the tuples the loop ended with."""
     if budget is None:
         budget = REWRITE_BUDGET
     factors = [f for f in factors if not f.aut.is_identity()]
@@ -395,7 +403,7 @@ def rewrite_loop(g, factors, base, lower, budget=None):
         profile = [t.length for t in tuples]
         pos = find_peak_position(profile)
         if pos is None:
-            return factors
+            return Factorization(factors, base, profile)
         # lowering a maximal peak removes one interior position at the
         # maximal peak height and inserts only strictly lower ones
         h = profile[pos]
@@ -434,7 +442,7 @@ def long_range_peak_reduce(g, factors, W: ClassTuple, cls=None,
     def lower(V, alpha, beta):
         return lower_classic_peak(g, V, alpha, beta, moves, index)
 
-    return rewrite_loop(g, factors, W, lower)
+    return rewrite_loop(g, factors, W, lower).factors
 
 
 # -- inner insertion ----------------------------------------------------------
@@ -876,9 +884,8 @@ def peak_reduce(g, factors, W: ClassTuple, budget=None) -> Factorization:
     def lower(V, alpha, beta):
         return lower_peak(g, V, alpha, beta)
 
-    out = rewrite_loop(g, factors, W, lower, budget)
-    result = Factorization(out, W)
-    if compose_factors(g, out) != original:
+    result = rewrite_loop(g, factors, W, lower, budget)
+    if compose_factors(g, result.factors) != original:
         raise AssertionError("peak reduction changed the automorphism")
     if not result.is_unimodal():
         raise AssertionError("peak reduction did not reach a unimodal "

@@ -12,7 +12,7 @@ with everything in the star.
 from __future__ import annotations
 
 from .aut import GenWhitehead, eta, za_basis
-from .core import ClassTuple, ConjClass, canonical_class, power_word
+from .core import ClassTuple, ConjClass, conj_class, power_word
 from .errors import BudgetError, InputError
 
 MATCHING_BUDGET = 200_000
@@ -82,7 +82,7 @@ class Decomposition:
         return tuple(word)
 
     def associated_tuple(self) -> ClassTuple:
-        return ClassTuple([canonical_class(self.graph, self.class_word(b))
+        return ClassTuple([conj_class(self.graph, self.class_word(b))
                            for b in range(len(self.blocks))])
 
     def represents(self, tup: ClassTuple) -> bool:
@@ -95,7 +95,7 @@ class Decomposition:
             word = self.class_word(b)
             if len(word) != cls.length:
                 return False
-            if canonical_class(self.graph, word) != cls:
+            if conj_class(self.graph, word) != cls:
                 return False
         return True
 

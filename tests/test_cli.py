@@ -363,9 +363,10 @@ def add_false_relator(pres_cls):
 
 def append_inversion(fn):
     def wrong(g, factors, base, lower, budget=None):
-        out = fn(g, factors, base, lower, budget)
-        return out + [GenWhitehead(inversion(g, g.vertices[0]),
-                                   g.vertices[0])]
+        fac = fn(g, factors, base, lower, budget)
+        fac.factors.append(GenWhitehead(inversion(g, g.vertices[0]),
+                                        g.vertices[0]))
+        return fac
     return wrong
 
 

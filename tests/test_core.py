@@ -3,8 +3,10 @@ from itertools import product
 
 import pytest
 
+import raagaut.core as core_module
+
 from raagaut.core import (DefiningGraph, canonical_class, class_tuple,
-                          conjugate_test, cyclically_reduce,
+                          conj_class, conjugate_test, cyclically_reduce,
                           enumerate_classes, enumerate_reduced_words,
                           format_word, graph_invariants, inverse_word, lexnf,
                           parse_tuple, parse_word, reduce_word, words_equal)
@@ -188,17 +190,32 @@ def test_lexnf_matches_oracle_exhaustive(name, request):
 @pytest.mark.parametrize("name", ["f2", "k3", "split", "path4"])
 def test_canonical_class_matches_oracle_exhaustive(name, request):
     # Conjugate words share a class, so the oracle runs once per rotation
-    # class; canonical_class runs on every word.
+    # class; canonical_class and conj_class run on every word, and a lazy
+    # class equals, hashes as and orders as the canonical one.
     g = request.getfixturevalue(name)
     letters = [(v, s) for v in g.vertices for s in (1, -1)]
     memo = {}
     by_rotation = {}
+    first = {}
+    prev = None
     for n in range(7):
         for w in product(letters, repeat=n):
             rot = min((w[i:] + w[:i] for i in range(n)), default=())
             if rot not in by_rotation:
                 by_rotation[rot] = word_bfs_canonical(g, rot, memo)
-            assert canonical_class(g, w).word == by_rotation[rot], w
+            canon = canonical_class(g, w)
+            lazy = conj_class(g, w)
+            assert canon.word == by_rotation[rot], w
+            assert lazy.length == len(lazy.rep) == canon.length, w
+            assert lazy.word == canon.word, w
+            assert lazy == canon and hash(lazy) == hash(canon), w
+            other = first.setdefault(canon.word, lazy)
+            assert lazy == other and hash(lazy) == hash(other), w
+            if prev is not None:
+                assert (lazy == prev) == (lazy.word == prev.word), w
+                assert (lazy < prev) == ((lazy.length, lazy.word) <
+                                         (prev.length, prev.word)), w
+            prev = lazy
 
 
 def test_lexnf_and_canonical_class_match_oracle_random(nodom6):
@@ -326,6 +343,40 @@ def test_canonical_class_budget_names_counter(split):
     with pytest.raises(BudgetError,
                        match=r"^canonical_class trace states 6 > budget 5$"):
         canonical_class(split, W("a b c d") * 3, budget=5)
+
+
+def test_conj_class_runs_the_bfs_when_its_word_is_read(monkeypatch, split):
+    # count the calls of the conjugacy BFS, including those a class makes
+    # when its canonical word is read
+    calls = []
+    canonical = core_module.canonical_class
+    monkeypatch.setattr(core_module, "canonical_class",
+                        lambda g, word: calls.append(word) or
+                        canonical(g, word))
+    u = conj_class(split, W("b a c a^-1"))
+    v = conj_class(split, W("c a c"))
+    t = class_tuple(split, [W("a c a c"), W("d b")])
+    assert (u.rep, u.length, v.length) == (W("b c"), 2, 3)
+    # different lengths: unequal, and no BFS runs
+    assert u != v and not u == v
+    assert class_tuple(split, [W("c b")]) != class_tuple(split, [W("c a c")])
+    assert t.length == 6 and not calls
+    # equal lengths: the canonical words decide
+    assert u == conj_class(split, W("c b"))
+    assert u.word == W("b c") and u is conj_class(split, W("b c"))
+    assert calls
+    seen = len(calls)
+    assert u.word == W("b c") and len(calls) == seen
+
+
+def test_conj_class_budget_trips_only_when_the_word_is_read(monkeypatch,
+                                                            split):
+    monkeypatch.setattr(core_module, "CANONICAL_STATE_BUDGET", 5)
+    cls = conj_class(split, W("a b c d") * 3)
+    assert cls.length == 12
+    with pytest.raises(BudgetError,
+                       match=r"^canonical_class trace states 6 > budget 5$"):
+        cls.word
 
 
 def test_budget_error_names_counter_value_and_budget():

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+import raagaut.aut as aut_module
+import raagaut.core as core_module
 import raagaut.peak as peak_module
 
 from raagaut.aut import (Automorphism, GenWhitehead, classic_whitehead,
@@ -680,6 +682,40 @@ def test_verify_lowering_runs_once_per_lowering(monkeypatch, split, f2):
             assert len(classic) == len(spliced)
         else:
             assert len(classic) < len(spliced)
+
+
+def test_peak_reduce_canonicalizes_no_class(monkeypatch, split, f2):
+    """Peak heights are cyclic lengths, so ``peak_reduce`` runs no
+    conjugacy BFS on the tuples it builds, on the peak series instances and
+    on F2 classic peaks; and it answers as it does when every image class
+    is canonicalized where it is built."""
+    instances = [(split, base, factors[:n]) for base, factors
+                 in series_peak_instances(monkeypatch, split)
+                 for n in (2, 4, 6, 8)]
+    Wt = class_tuple(f2, [W("a b a b^-1 a^-1 b b")])
+    instances += [(f2, Wt, pair) for pair in classic_peak_pairs(f2, Wt)]
+    calls = []
+    canonical = core_module.canonical_class
+
+    def counting(g, word, budget=None):
+        calls.append(word)
+        return canonical(g, word, budget)
+
+    monkeypatch.setattr(core_module, "canonical_class", counting)
+
+    def answers():
+        out = []
+        for g, base, factors in instances:
+            fac = peak_reduce(g, factors, base)
+            out.append(([f.aut.key() for f in fac.factors], fac.profile))
+        return out
+
+    lazy = answers()
+    assert not calls
+    monkeypatch.setattr(aut_module, "conj_class",
+                        lambda g, word: core_module.canonical_class(g, word))
+    assert answers() == lazy
+    assert calls
 
 
 def wrong_lowerings(g, V, alpha, beta, low):

@@ -183,3 +183,21 @@ def test_cli_checks_only_what_no_library_function_checks():
     assert found == {("raise", "cmd_matrix_nf"),
                      ("check_relators", "cmd_matrix_stab")}, \
         "checks in cli.py: %s" % sorted(found)
+
+
+def test_only_core_and_cli_canonicalize():
+    """``canonical_class`` is the conjugacy BFS.  Outside ``core``, which
+    runs it when a class's canonical word is first read, only ``cli``
+    names it (``conj`` prints canonical words); every other module builds
+    classes with ``conj_class``, which runs no BFS."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("core.py", "cli.py"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += ["%s:%d" % (path.name, node.lineno)
+                  for node in ast.walk(tree)
+                  if "canonical_class" in (getattr(node, "id", None),
+                                           getattr(node, "attr", None),
+                                           getattr(node, "name", None))]
+    assert not found, "canonical_class named outside core and cli: %s" % found
