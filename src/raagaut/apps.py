@@ -151,7 +151,8 @@ def classic_length(g, m, supp, U: ClassTuple, lengths):
     multiplier letter m and support supp, without building the move: each
     letter (x, s) becomes m^-1 (x, s) m with m^-1 present when (x, -s) is in
     the support and m when (x, s) is, and a class is as long as its
-    cyclically reduced words.  A class the move leaves letter for letter
+    cyclically reduced words, so each class's ``rep`` is read and no
+    canonical word is computed.  A class the move leaves letter for letter
     keeps its length; ``lengths`` memoizes substituted word -> cyclic
     length, since choices that differ only on generators outside a class
     substitute the same word."""
@@ -160,7 +161,7 @@ def classic_length(g, m, supp, U: ClassTuple, lengths):
     total = 0
     for cls in U:
         word = []
-        for x in cls.word:
+        for x in cls.rep:
             if (x[0], -x[1]) in supp:
                 word.append(minv)
             word.append(x)

@@ -33,7 +33,7 @@ EXIT_BUDGET = 2
 
 def load_matrix(path):
     """Plain text: first line `n k m d`, then n+k rows of m integers; the
-    entries denote value/d."""
+    entries denote value/d, and stay ints when d is 1."""
     with open(path) as fh:
         toks = fh.read().split()
     try:
@@ -45,8 +45,9 @@ def load_matrix(path):
         raise InputError("matrix file has a negative dimension")
     if d <= 0 or len(vals) != (n + k) * m:
         raise InputError("matrix file has the wrong number of entries")
-    rows = [[Fraction(vals[i * m + j], d) for j in range(m)]
-            for i in range(n + k)]
+    if d != 1:
+        vals = [Fraction(v, d) for v in vals]
+    rows = [vals[i * m:(i + 1) * m] for i in range(n + k)]
     return rows, n, k, m, d
 
 
@@ -80,7 +81,7 @@ def presentation_report(pres):
 
 def emit(args, data, text_lines):
     if args.json:
-        print(json.dumps(data, indent=2, sort_keys=True))
+        print(json.dumps(data, sort_keys=True))
     else:
         for line in text_lines:
             print(line)

@@ -2,13 +2,15 @@
 
 Matrices are tuples of tuples.  Everything here is exact; no floats.
 All rational elimination goes through ``rref``, and all integer row
-reduction through ``hermite``.
+reduction through ``hermite``, which also inverts unimodular integer
+matrices (``int_inverse``) without making a Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import InputError
 
@@ -18,10 +20,8 @@ def mat_identity(n):
 
 
 def mat_mul(A, B):
-    rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
-    return tuple(
-        tuple(sum(A[i][t] * B[t][j] for t in range(inner)) for j in range(cols))
-        for i in range(rows))
+    cols = tuple(zip(*B))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in A)
 
 
 def mat_eq(A, B):
@@ -30,13 +30,19 @@ def mat_eq(A, B):
         for x, y in zip(A, B))
 
 
+def _int_rows(A):
+    """A as lists of ints; InputError on a non-integral entry."""
+    m = [[int(x) for x in row] for row in A]
+    if any(a != x for r, row in zip(m, A) for a, x in zip(r, row)):
+        raise InputError("integer matrix expected")
+    return m
+
+
 def mat_det(A):
     """Determinant of a square integer matrix by Bareiss elimination: every
     intermediate entry is a minor of A, so all divisions are exact.  Raises
     InputError on a non-integral entry."""
-    m = [[int(x) for x in row] for row in A]
-    if any(a != x for r, row in zip(m, A) for a, x in zip(r, row)):
-        raise InputError("integer matrix expected")
+    m = _int_rows(A)
     n = len(m)
     sign, prev = 1, 1
     for j in range(n):
@@ -83,15 +89,14 @@ def rref(rows, ncols):
 
 
 def int_inverse(A):
-    """Inverse of an integer matrix with determinant +-1, from one
-    elimination of [A | I]; InputError if the inverse is not integral."""
-    n = len(A)
-    m, pivots = rref([list(row) + [int(i == j) for j in range(n)]
-                      for i, row in enumerate(A)], n)
-    inv = [row[n:] for row in m]
-    if len(pivots) < n or any(x.denominator != 1 for row in inv for x in row):
+    """Inverse of an integer matrix with determinant +-1: the Hermite normal
+    form of such a matrix is I, and the operations carried onto I give the
+    inverse.  InputError on a non-integral entry or any other normal form."""
+    ident = mat_identity(len(A))
+    H, inv = hermite(_int_rows(A), ident)
+    if H != ident:
         raise InputError("matrix is not invertible over the integers")
-    return tuple(tuple(int(x) for x in row) for row in inv)
+    return inv
 
 
 def solve_right(A, b):

@@ -5,10 +5,13 @@ combinators (finite-index overgroup, finite covering complex).
 
 All arithmetic is exact.  A block matrix keeps its rational block as an
 integer numerator block over one denominator, so products, inverses and
-the action in the block group run on integers (only ``int_inverse`` of the
-top-left block eliminates over Fractions, and the action divides by the
-denominator once per entry); row reduction of the matrices acted on runs
-in Fractions.
+the action in the block group run on integers: ``int_inverse`` inverts the
+top-left block by integer Hermite reduction, and the action divides by the
+denominator once per entry, so an integral element keeps integer rows
+integer.  The determinant is checked where a block comes from outside (the
+constructor); products and inverses of det +-1 blocks keep det +-1.  The
+orbit and stabilizer routines keep their input rows as given; row
+reduction to the normal form runs in Fractions.
 """
 
 from __future__ import annotations
@@ -59,13 +62,12 @@ class BlockMatrix:
     @classmethod
     def _reduced(cls, n, k, A, num, den):
         """The element [[A, num/den], [0, I]] from integer blocks, with
-        num/den brought to lowest terms."""
+        num/den brought to lowest terms.  A is not checked: callers pass
+        products and inverses of det +-1 blocks."""
         g = gcd(den, *[x for row in num for x in row])
         if g != 1:
             num = tuple(tuple(x // g for x in row) for row in num)
             den //= g
-        if mat_det(A) not in (1, -1):
-            raise InputError("top-left block must have determinant +-1")
         self = cls.__new__(cls)
         self.n, self.k, self.A, self.num, self.den = n, k, A, num, den
         return self
@@ -897,10 +899,11 @@ def schreier_g1_in_gd(named_gens, n, k, d, start, max_vertices=None):
         if len(images) == max_vertices:
             raise BudgetError.exceeded("schreier_g1_in_gd vertices",
                                        max_vertices + 1, max_vertices)
+        cols = tuple(zip(*res))
         images[res] = [
-            tuple(tuple((sum(A[i][t] * res[t][j] for t in range(n))
-                         + rc[i][j]) % d for j in range(k))
-                  for i in range(n))
+            tuple(tuple((sum(map(mul, a, col)) + r) % d
+                        for col, r in zip(cols, rc_row))
+                  for a, rc_row in zip(A, rc))
             for A, rc in moves]
         frontier.extend(images[res])
     graph = LabeledGraph()
@@ -941,10 +944,9 @@ def _lift_block(D, k, zero_columns):
         else:
             cols.append(small)
             small += 1
-    B = []
-    for row in D.B:
-        B.append([Fraction(0) if c is None else row[c] for c in cols])
-    return BlockMatrix(D.n, k, D.A, B)
+    num = tuple(tuple(0 if c is None else row[c] for c in cols)
+                for row in D.num)
+    return BlockMatrix._reduced(D.n, k, D.A, num, D.den)
 
 
 def g1_orbit_decide(rows_a, rows_b, n, k, zero_columns=frozenset(),
@@ -956,8 +958,8 @@ def g1_orbit_decide(rows_a, rows_b, n, k, zero_columns=frozenset(),
     "schreier-component" on the negative side.
     """
     zero_columns = frozenset(zero_columns)
-    rows_a = [tuple(map(Fraction, r)) for r in rows_a]
-    rows_b = [tuple(map(Fraction, r)) for r in rows_b]
+    rows_a = [tuple(r) for r in rows_a]
+    rows_b = [tuple(r) for r in rows_b]
     if len(rows_a) != n + k or len(rows_b) != n + k:
         raise InputError("expected %d rows" % (n + k))
     for j in zero_columns:
@@ -1028,7 +1030,7 @@ def g1_stabilizer_presentation(rows_a, n, k, zero_columns=frozenset(),
     stabilizer elements over the presentation's generators.
     """
     zero_columns = frozenset(zero_columns)
-    rows_a = [tuple(map(Fraction, r)) for r in rows_a]
+    rows_a = [tuple(r) for r in rows_a]
     ra = _drop_rows(rows_a, n, zero_columns)
     k2 = k - len(zero_columns)
     N, Q = gq_normal_form(ra, n, k2)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from raagaut import apps, linalg, peak, whorbit
+from raagaut import apps, cli, linalg, peak, whorbit
 from raagaut.aut import GenWhitehead, inversion
 from raagaut.cli import main
 from raagaut.linalg import BlockMatrix, Presentation
@@ -87,6 +87,44 @@ def test_matrix_stab_counts(files, capsys):
     data = json.loads(out)
     assert data["n_generators"] == 7
     assert data["n_relators"] == 15
+
+
+def _as_json(value):
+    """The emitted data as JSON reads it back: tuples become lists."""
+    if isinstance(value, dict):
+        return {key: _as_json(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_json(v) for v in value]
+    return value
+
+
+def _sorted_keys(pairs):
+    keys = [key for key, _ in pairs]
+    assert keys == sorted(keys)
+    return dict(pairs)
+
+
+@pytest.mark.parametrize("command", [
+    ["matrix-nf", "--matrix", "{example}"],
+    ["matrix-orbit", "--matrix", "{example}", "--matrix2", "{example}"],
+    ["matrix-stab", "--matrix", "{example}"],
+    ["orbit", "--graph", "{f2}", "--tuple", "a b", "--tuple2", "b a"],
+    ["stab-pres", "--graph", "{f2}", "--tuple", "a"],
+    ["wh-stab", "--graph", "{split}", "--vertex", "a", "--tuple", "c a c b"],
+    ["minimize", "--graph", "{f2}", "--tuple", "a a b"],
+])
+def test_json_answer_is_one_sorted_line(files, capsys, monkeypatch, command):
+    emitted = []
+    emit = cli.emit
+    monkeypatch.setattr(cli, "emit",
+                        lambda args, data, lines: emitted.append(data)
+                        or emit(args, data, lines))
+    argv = [part.format(**files) for part in command] + ["--json"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and len(emitted) == 1
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert json.loads(out, object_pairs_hook=_sorted_keys) == \
+        _as_json(emitted[0])
 
 
 def test_orbit_identity_certificate(files, capsys):

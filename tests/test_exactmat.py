@@ -93,11 +93,32 @@ def test_int_inverse_matches_oracle():
 
 
 def test_int_inverse_never_truncates():
-    """Determinant 1 but a non-integral inverse: an error, not a rounded
-    matrix."""
+    """Integer matrices only: a rational entry is an error, also where the
+    rational inverse exists, never a rounded matrix."""
     with pytest.raises(InputError):
         int_inverse([[2, 0], [0, Fraction(1, 2)]])
-    assert int_inverse([[Fraction(1, 2)]]) == ((2,),)
+    with pytest.raises(InputError):
+        int_inverse([[Fraction(1, 2)]])
+    assert int_inverse([[Fraction(4, 2), 1], [1, 1]]) == ((1, -1), (-1, 2))
+
+
+def test_mat_mul_matches_triple_loop():
+    """Rows paired with columns give the plain triple loop on every shape up
+    to 4 x 4 x 4, zero inner and outer dimensions included; a matrix with
+    no rows has no columns either."""
+    rng = random.Random(19)
+    for rows in range(5):
+        for inner in range(5):
+            for cols in range(5):
+                for rational in (False, True):
+                    A = random_matrix(rng, rows, inner, rational)
+                    B = random_matrix(rng, inner, cols, rational)
+                    width = len(B[0]) if B else 0
+                    want = tuple(
+                        tuple(sum(A[i][t] * B[t][j] for t in range(inner))
+                              for j in range(width))
+                        for i in range(rows))
+                    assert mat_mul(A, B) == want
 
 
 def test_rref_rank_kernel_solve_match_oracles():

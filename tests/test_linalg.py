@@ -4,9 +4,11 @@ from math import gcd
 
 import pytest
 
+from raagaut import linalg
 from raagaut.errors import InputError
 from raagaut.exactmat import int_inverse, mat_eq, mat_identity, mat_mul
 from raagaut.linalg import (BlockMatrix, LabeledGraph, Presentation,
+                            _lift_block,
                             cover_presentation, evaluate_matrix_word,
                             evaluate_word, g1_orbit_decide,
                             g1_stabilizer_presentation, gd_stabilizer,
@@ -15,7 +17,7 @@ from raagaut.linalg import (BlockMatrix, LabeledGraph, Presentation,
                             presentation_from_finite_index, rho,
                             schreier_g1_in_gd, semidirect_presentation)
 
-from .oracles import fraction_inverse
+from .oracles import fraction_det, fraction_inverse
 
 EXAMPLE_A = [[1], [0], [2]]
 
@@ -461,6 +463,7 @@ def test_block_products_and_inverses_match_fraction_matrices():
                         (X.inv(), fraction_inverse(X.full()))):
             assert (Z.A, Z.B) == split_full(full, n)
             assert Z.full() == full
+            assert fraction_det(Z.A) in (1, -1)
             assert_lowest_terms(Z)
         assert X.mul(X.inv()) == BlockMatrix.identity(n, k)
         m = act_rng.randint(0, 3)
@@ -468,6 +471,30 @@ def test_block_products_and_inverses_match_fraction_matrices():
             act_rng.randint(-9, 9), act_rng.randint(1, 12))))
             for _ in range(m)] for _ in range(n + k)]
         assert X.act(rows) == mat_mul(X.full(), rows)
+
+
+def test_only_the_constructor_computes_a_determinant(monkeypatch):
+    """A product or inverse of det +-1 blocks has det +-1, so only blocks
+    from outside are checked; a lifted block equals the one built through
+    the constructor with its zero column put back."""
+    rng = random.Random(17)
+    blocks = [random_block(rng, n, k) for n in (1, 2, 3) for k in (0, 1, 2)
+              for _ in range(5)]
+    calls = []
+    det = linalg.mat_det
+    monkeypatch.setattr(linalg, "mat_det",
+                        lambda A: calls.append(A) or det(A))
+    lifted = []
+    for X in blocks:
+        Z = X.mul(X.inv()).mul(X)
+        assert Z == X and X.inv().inv() == X
+        assert BlockMatrix.identity(X.n, X.k).mul(X) == X
+        lifted.append((X, _lift_block(Z, X.k + 1, frozenset({0}))))
+    assert calls == []
+    for X, L in lifted:
+        assert L == BlockMatrix(X.n, X.k + 1, X.A,
+                                [(0,) + row for row in X.B])
+    assert len(calls) == len(blocks)
 
 
 def test_block_spellings_are_equal_and_hash_equal():
