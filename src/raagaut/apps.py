@@ -24,7 +24,7 @@ from .aut import (Automorphism, classic_choices, classic_whitehead,
                   za_dims)
 from .core import ClassTuple, conj_class, cyclically_reduce, reduce_word
 from .errors import BudgetError, InputError
-from .linalg import LabeledGraph, Presentation, g1_orbit_decide
+from .linalg import LabeledGraph, Presentation, g1_orbit_decider
 from .peak import (classic_factor_list, fixes_class_pointwise,
                    long_range_peak_reduce)
 from .syllables import decompose, nu_matrix
@@ -86,7 +86,10 @@ def wh_reachable(g, a, U: ClassTuple, shorter=False, zero_columns=frozenset(),
     (None: ``SWEEP_BUDGET``).
 
     Yields (tuple, GenWhitehead) pairs; the starting tuple itself is not
-    reported.
+    reported.  A candidate whose classes keep their lengths is compared with
+    U and the targets already found (by letters first, see ``ConjClass``)
+    before its matrix test; the sweep's one ``g1_orbit_decider`` reduces
+    U's matrix once, at the first test.
     """
     if budget is None:
         budget = SWEEP_BUDGET
@@ -109,6 +112,7 @@ def wh_reachable(g, a, U: ClassTuple, shorter=False, zero_columns=frozenset(),
         gi = group_of[key]
         mults[gi] += 1
         col_group.append(gi)
+    decide = g1_orbit_decider(nuT, n, k, zero_columns)
     seen_targets = set()
     count = 0
     for assign in _exponent_assignments(mults, n, total, exact=not shorter):
@@ -136,7 +140,7 @@ def wh_reachable(g, a, U: ClassTuple, shorter=False, zero_columns=frozenset(),
             continue
         if target == U or target in seen_targets:
             continue
-        cert = g1_orbit_decide(nuT, nu_matrix(cand), n, k, zero_columns)
+        cert = decide(nu_matrix(cand))
         if cert.witness is None:
             continue
         wh = theta(g, a, cert.witness)

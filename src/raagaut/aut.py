@@ -4,7 +4,9 @@ and the embedding of each multiplier group into block integer matrices.
 
 Automorphisms are stored as validated pairs (images, inverse images); both
 maps are checked to be endomorphisms and mutually inverse on generators, so
-inverting never requires solving anything.
+inverting never requires solving anything.  Products and inverses of
+validated automorphisms, inversions and the elements of P (signed graph
+symmetries) are exact by construction and skip the check.
 """
 
 from __future__ import annotations
@@ -506,21 +508,27 @@ def graph_symmetries(g):
     return g._cache[key]
 
 
+def _symmetry(g, pi, signs):
+    """The automorphism v -> pi(v)^s_v for a graph symmetry pi and signs in
+    vertex order, built exact: a single-letter image is reduced, and the
+    inverse sends pi(v) -> v^s_v.  Both maps are in vertex order."""
+    sign = dict(zip(g.vertices, signs))
+    back = {x: v for v, x in pi.items()}
+    ims = {v: ((pi[v], sign[v]),) for v in g.vertices}
+    inv = {x: ((back[x], sign[back[x]]),) for x in g.vertices}
+    return Automorphism._from_reduced(g, ims, inv)
+
+
 def permutation_automorphisms(g):
-    """The finite subgroup of automorphisms permuting the letters."""
+    """The finite subgroup P of automorphisms permuting the letters: each
+    graph symmetry with each choice of signs, built by ``_symmetry`` without
+    reduction or check."""
     key = "perm_auts"
     if key not in g._cache:
-        out = []
-        for pi in graph_symmetries(g):
-            for signs in product((1, -1), repeat=len(g.vertices)):
-                ims = {v: ((pi[v], s),)
-                       for v, s in zip(g.vertices, signs)}
-                inv = {}
-                for v, s in zip(g.vertices, signs):
-                    inv[pi[v]] = ((v, s),)
-                aut = Automorphism(g, ims, inv, _skip_check=True)
-                out.append(GenWhitehead(aut))
-        g._cache[key] = out
+        g._cache[key] = [
+            GenWhitehead(_symmetry(g, pi, signs))
+            for pi in graph_symmetries(g)
+            for signs in product((1, -1), repeat=len(g.vertices))]
     return g._cache[key]
 
 
@@ -562,9 +570,7 @@ def laurence_generators(g):
         for a in g.vertices:
             add(GenWhitehead(inversion(g, a)))
         for pi in graph_symmetries(g):
-            ims = {v: ((pi[v], 1),) for v in g.vertices}
-            inv = {pi[v]: ((v, 1),) for v in g.vertices}
-            add(GenWhitehead(Automorphism(g, ims, inv, _skip_check=True)))
+            add(GenWhitehead(_symmetry(g, pi, (1,) * len(g.vertices))))
         g._cache[key] = out
     return g._cache[key]
 

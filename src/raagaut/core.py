@@ -308,11 +308,18 @@ class ConjClass:
     the declared generator order) among the cyclically reduced words of the
     class, found as the least ``lexnf`` over the traces that
     ``canonical_class`` reaches.  It is computed the first time it is read,
-    so a class that is only measured runs no BFS; comparing, hashing and
-    printing read it.
+    so a class that is only measured runs no BFS.
+
+    Cyclically reduced conjugates differ only by commutations and rotations
+    (Servatius 1989), so every cyclically reduced word of a class has the
+    same multiset of letters.  A class keeps the hash of its sorted letters:
+    hashing reads that, and equality compares lengths, then letters, and
+    only then canonical words, so two classes with different letters are
+    never canonicalized to be told apart.  Ordering and printing read
+    ``word``.
     """
 
-    __slots__ = ("graph", "rep", "length", "_word")
+    __slots__ = ("graph", "rep", "length", "_letter_hash", "_word")
 
     def __init__(self, graph, rep, word=None, _token=None):
         if _token is not _CONJ_TOKEN:
@@ -321,6 +328,7 @@ class ConjClass:
         self.graph = graph
         self.rep = rep
         self.length = len(rep)
+        self._letter_hash = hash(tuple(sorted(rep)))
         self._word = word
 
     @property
@@ -331,10 +339,11 @@ class ConjClass:
 
     def __eq__(self, other):
         return (isinstance(other, ConjClass) and self.length == other.length
+                and self._letter_hash == other._letter_hash
                 and self.word == other.word)
 
     def __hash__(self):
-        return hash(self.word)
+        return self._letter_hash
 
     def __lt__(self, other):
         return (self.length, self.word) < (other.length, other.word)
@@ -388,12 +397,19 @@ def _projection_slots(g, word):
 
 def conj_class(g, word) -> ConjClass:
     """The conjugacy class of ``word``, held by its cyclic reduction and
-    memoized per graph; no BFS runs until its canonical word is read."""
-    w = cyclically_reduce(g, word)
+    memoized per graph; no BFS runs until its canonical word is read.
+
+    The memo is looked up on ``word`` itself first: every key is cyclically
+    reduced, so a hit is the class of that very word, and a word met again
+    (a symmetry's image of a tuple it fixes) is not reduced again."""
+    word = tuple(word)
     memo = g._cache.setdefault("conj", {})
-    cls = memo.get(w)
+    cls = memo.get(word)
     if cls is None:
-        cls = memo[w] = ConjClass(g, w, None, _CONJ_TOKEN)
+        w = cyclically_reduce(g, word)
+        cls = memo.get(w)
+        if cls is None:
+            cls = memo[w] = ConjClass(g, w, None, _CONJ_TOKEN)
     return cls
 
 

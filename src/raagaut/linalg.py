@@ -949,51 +949,70 @@ def _lift_block(D, k, zero_columns):
     return BlockMatrix._reduced(D.n, k, D.A, num, D.den)
 
 
-def g1_orbit_decide(rows_a, rows_b, n, k, zero_columns=frozenset(),
-                    max_vertices=None):
-    """Find an integral block matrix D with D*A = B (its rational block zero
-    on the given columns), or decide none exists.
+def g1_orbit_decider(rows_a, n, k, zero_columns=frozenset(),
+                     max_vertices=None):
+    """The orbit test from a fixed source matrix A: a function taking B to
+    an OrbitCertificate for an integral block matrix D with D*A = B (its
+    rational block zero on the given columns), or for none.  The reason is
+    "normal-forms" or "schreier-component" on the negative side.
 
-    Returns an OrbitCertificate; the reason is "normal-forms" or
-    "schreier-component" on the negative side.
+    A's normal form is computed once, on the first B that passes the
+    zero-column check, so a sweep of many targets from one source reduces
+    the source once and a sweep that tests none reduces nothing.
     """
     zero_columns = frozenset(zero_columns)
     rows_a = [tuple(r) for r in rows_a]
-    rows_b = [tuple(r) for r in rows_b]
-    if len(rows_a) != n + k or len(rows_b) != n + k:
-        raise InputError("expected %d rows" % (n + k))
-    for j in zero_columns:
-        if rows_a[n + j] != rows_b[n + j]:
-            return OrbitCertificate(reason="normal-forms")
-    ra = _drop_rows(rows_a, n, zero_columns)
-    rb = _drop_rows(rows_b, n, zero_columns)
     k2 = k - len(zero_columns)
-    NA, QA = gq_normal_form(ra, n, k2)
-    NB, QB = gq_normal_form(rb, n, k2)
-    if not mat_eq(NA, NB):
-        return OrbitCertificate(reason="normal-forms")
-    d = lcm(target_lcd(NA), lcm(QA.denominator(), QB.denominator()))
-    if d == 1:
-        D = QB.inv().mul(QA)
-    else:
-        _, pres = gd_stabilizer(NA, n, k2, d)
-        ra = rho(QA, d)
-        graph = schreier_g1_in_gd(pres.generators, n, k2, d, ra,
-                                  max_vertices)
-        vb = graph.vindex.get(rho(QB, d))
-        if vb is None:
-            return OrbitCertificate(reason="schreier-component")
-        parent = graph.bfs_tree(graph.vindex[ra])
-        C = graph.path_element(graph.tree_path(parent, vb),
-                               _letter(BlockMatrix.inv), BlockMatrix.mul,
-                               BlockMatrix.identity(n, k2))
-        D = QB.inv().mul(C).mul(QA)
-    if not D.is_integral():
-        raise AssertionError("orbit witness is not integral")
-    D = _lift_block(D, k, zero_columns)
-    if not mat_eq(D.act(rows_a), tuple(rows_b)):
-        raise AssertionError("orbit witness does not map A to B")
-    return OrbitCertificate(witness=D)
+    source = None
+
+    def decide(rows_b):
+        nonlocal source
+        rows_b = [tuple(r) for r in rows_b]
+        if len(rows_a) != n + k or len(rows_b) != n + k:
+            raise InputError("expected %d rows" % (n + k))
+        for j in zero_columns:
+            if rows_a[n + j] != rows_b[n + j]:
+                return OrbitCertificate(reason="normal-forms")
+        if source is None:
+            source = gq_normal_form(_drop_rows(rows_a, n, zero_columns), n,
+                                    k2)
+        NA, QA = source
+        rb = _drop_rows(rows_b, n, zero_columns)
+        NB, QB = gq_normal_form(rb, n, k2)
+        if not mat_eq(NA, NB):
+            return OrbitCertificate(reason="normal-forms")
+        d = lcm(target_lcd(NA), lcm(QA.denominator(), QB.denominator()))
+        if d == 1:
+            D = QB.inv().mul(QA)
+        else:
+            _, pres = gd_stabilizer(NA, n, k2, d)
+            ra = rho(QA, d)
+            graph = schreier_g1_in_gd(pres.generators, n, k2, d, ra,
+                                      max_vertices)
+            vb = graph.vindex.get(rho(QB, d))
+            if vb is None:
+                return OrbitCertificate(reason="schreier-component")
+            parent = graph.bfs_tree(graph.vindex[ra])
+            C = graph.path_element(graph.tree_path(parent, vb),
+                                   _letter(BlockMatrix.inv), BlockMatrix.mul,
+                                   BlockMatrix.identity(n, k2))
+            D = QB.inv().mul(C).mul(QA)
+        if not D.is_integral():
+            raise AssertionError("orbit witness is not integral")
+        D = _lift_block(D, k, zero_columns)
+        if not mat_eq(D.act(rows_a), tuple(rows_b)):
+            raise AssertionError("orbit witness does not map A to B")
+        return OrbitCertificate(witness=D)
+
+    return decide
+
+
+def g1_orbit_decide(rows_a, rows_b, n, k, zero_columns=frozenset(),
+                    max_vertices=None):
+    """Find an integral block matrix D with D*A = B (its rational block zero
+    on the given columns), or decide none exists: ``g1_orbit_decider`` on A,
+    applied to B."""
+    return g1_orbit_decider(rows_a, n, k, zero_columns, max_vertices)(rows_b)
 
 
 # -- presentation of the integral stabilizer ---------------------------------

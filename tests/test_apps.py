@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from raagaut import apps, aut
+from raagaut import apps, aut, linalg
 from raagaut.apps import (aut_orbit_decide, build_delta, build_Z,
                           classic_length, minimize_tuple,
                           stabilizer_generators, stabilizer_presentation,
@@ -552,3 +552,37 @@ def test_stabilizer_subgroup_contains_short_stabilizers(split):
         frontier = nxt
     missing = [s for s in short_stab if s.key() not in seen]
     assert not missing, missing[:3]
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_sweep_reduces_its_source_matrix_once(request, monkeypatch, name):
+    # every sweep reduces the source matrix at most once, only when it
+    # tests a candidate, and yields what one decision per candidate yields
+    g = request.getfixturevalue(name)
+    normal_forms = []
+    normal_form = linalg.gq_normal_form
+    monkeypatch.setattr(linalg, "gq_normal_form",
+                        lambda rows, n, k: normal_forms.append(rows) or
+                        normal_form(rows, n, k))
+    tests = []
+    decider = apps.g1_orbit_decider
+
+    def counting_decider(*args):
+        decide = decider(*args)
+        return lambda rows_b: tests.append(rows_b) or decide(rows_b)
+
+    def single_decisions(rows_a, n, k, zero_columns):
+        return lambda rows_b: linalg.g1_orbit_decide(rows_a, rows_b, n, k,
+                                                     zero_columns)
+
+    most = 0
+    for R in orbit_graph_cases(g, name, 35, 4):
+        for a in apps._class_reps(g):
+            del normal_forms[:], tests[:]
+            monkeypatch.setattr(apps, "g1_orbit_decider", counting_decider)
+            got = [(t, wh.aut) for t, wh in wh_reachable(g, a, R)]
+            assert len(normal_forms) == len(tests) + bool(tests)
+            most = max(most, len(tests))
+            monkeypatch.setattr(apps, "g1_orbit_decider", single_decisions)
+            assert got == [(t, wh.aut) for t, wh in wh_reachable(g, a, R)]
+    assert most > 1

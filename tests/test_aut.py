@@ -371,3 +371,36 @@ def test_automorphism_json_round_trip(split):
                    {"a": "a b", "b": "b", "c": "c", "d": "d"})
     again = Automorphism.from_json(split, phi.to_json())
     assert again == phi
+
+
+@pytest.mark.parametrize("graph_name", ["f2", "k3", "split", "path4",
+                                        "nodom6"])
+def test_permutation_automorphisms_are_exact_by_construction(
+        graph_name, request, monkeypatch):
+    # P is built without reducing or checking anything, and every element
+    # is the validated constructor's automorphism, maps in the same order
+    g = request.getfixturevalue(graph_name)
+    calls = []
+    reduce_word = aut_module.reduce_word
+    monkeypatch.setattr(aut_module, "reduce_word",
+                        lambda graph, word: calls.append(word) or
+                        reduce_word(graph, word))
+    perms = [p.aut for p in permutation_automorphisms(g)]
+    assert calls == []
+    monkeypatch.setattr(aut_module, "reduce_word", reduce_word)
+    gens = [wh.aut for wh in laurence_generators(g) if wh.aut.is_permutation()]
+    assert len(perms) == len(graph_symmetries(g)) * 2 ** len(g.vertices)
+    assert len(set(perms)) == len(perms)
+    for aut in perms + gens:
+        aut._validate()
+        checked = Automorphism(g, aut.images, aut.inverse_images)
+        assert checked == aut
+        assert list(checked.images.items()) == list(aut.images.items())
+        assert (list(checked.inverse_images.items()) ==
+                list(aut.inverse_images.items()))
+    assert set(gens) <= set(perms)
+
+
+def test_permutation_automorphism_counts(f2, split, path4):
+    assert [len(permutation_automorphisms(g)) for g in (f2, split, path4)] \
+        == [8, 128, 32]

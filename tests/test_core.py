@@ -415,3 +415,57 @@ def test_graph_validation():
         DefiningGraph(["a"], [["a", "a"]])
     with pytest.raises(InputError):
         DefiningGraph(["a"], [["a", "z"]])
+
+
+@pytest.mark.parametrize("name", ["f2", "split", "path4", "nodom6"])
+def test_class_equality_is_canonical_word_equality(name, request):
+    # seeded words and conjugates of them: conjugates are equal and hash
+    # equally, and == agrees with equal canonical words on every pair
+    g = request.getfixturevalue(name)
+    rng = random.Random(35)
+    letters = [(v, s) for v in g.vertices for s in (1, -1)]
+    classes = []
+    for _ in range(60):
+        w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 7)))
+        x = tuple(rng.choice(letters) for _ in range(rng.randint(0, 3)))
+        u = conj_class(g, w)
+        v = conj_class(g, x + w + inverse_word(x))
+        assert u == v and hash(u) == hash(v), w
+        classes += [u, v]
+    for u in classes:
+        for v in classes:
+            same = (canonical_class(g, u.rep).word ==
+                    canonical_class(g, v.rep).word)
+            assert (u == v) == same, (u.rep, v.rep)
+
+
+def test_same_letters_are_not_enough(f2):
+    u = conj_class(f2, W("a a b b"))
+    v = conj_class(f2, W("a b a b"))
+    assert hash(u) == hash(v)
+    assert u != v and not u == v
+    assert len({u, v}) == 2
+
+
+def test_hashing_and_different_letters_run_no_bfs(monkeypatch, split):
+    def refuse(*args, **kw):
+        raise AssertionError("canonical_class called")
+
+    monkeypatch.setattr(core_module, "canonical_class", refuse)
+    u = conj_class(split, W("a c b"))
+    v = conj_class(split, W("a c d"))
+    t = class_tuple(split, [W("c a b"), W("a c d")])
+    assert u != v and not u == v
+    assert len({u, v}) == 2
+    # conjugates hash equally without being compared
+    assert hash(t) == hash(class_tuple(split, [W("a c b"), W("d a c")]))
+    swapped = class_tuple(split, [W("a c d"), W("a c b")])
+    assert t != swapped and len({t, swapped}) == 2
+
+
+def test_conj_class_accepts_a_list_and_returns_the_memoized_class(split):
+    cls = conj_class(split, [("b", 1), ("a", 1), ("c", 1), ("a", -1)])
+    assert cls.rep == W("b c")
+    assert conj_class(split, list(cls.rep)) is cls
+    assert conj_class(split, cls.rep) is cls
+    assert conj_class(split, iter(W("c a^-1 b a"))).length == 2

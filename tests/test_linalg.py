@@ -11,6 +11,7 @@ from raagaut.linalg import (BlockMatrix, LabeledGraph, Presentation,
                             _lift_block,
                             cover_presentation, evaluate_matrix_word,
                             evaluate_word, g1_orbit_decide,
+                            g1_orbit_decider,
                             g1_stabilizer_presentation, gd_stabilizer,
                             gd_stab_word, gl_presentation, gl_word,
                             gq_normal_form, is_normal_form,
@@ -562,3 +563,58 @@ def test_check_relators_inverts_each_generator_once(monkeypatch):
                            match="^relator is not the identity$"):
             Presentation(gens, pres.relators).check_relators(
                 BlockMatrix.mul, BlockMatrix.inv, ident)
+
+
+def g1_inputs():
+    """(A, Bs, n, k, zero_columns): the orbit tests' inputs, each source with
+    every target drawn for it, the identity and a zero-column mismatch."""
+    rng = random.Random(21)
+    for _ in range(30):
+        n, k, m = rng.choice(((2, 1, 1), (2, 1, 2), (1, 2, 2)))
+        rows = [[rng.randint(-3, 3) for _ in range(m)]
+                for _ in range(n + k)]
+        target = [[int(x) for x in row]
+                  for row in random_g1(rng, n, k).act(rows)]
+        yield rows, [target, rows], n, k, frozenset()
+    rng = random.Random(22)
+    pairs = [[[rng.randint(-3, 3)] for _ in range(3)] for _ in range(40)]
+    for A in pairs[:20]:
+        yield A, pairs[20:], 2, 1, frozenset()
+    yield EXAMPLE_A, [((0,), (0,), (2,)), EXAMPLE_A], 2, 1, frozenset()
+    rows = [[1], [2], [3]]
+    target = [[int(x) for x in r]
+              for r in BlockMatrix(1, 2, [[1]], [[2, 0]]).act(rows)]
+    yield rows, [target, [[1], [2], [4]], rows], 1, 2, {1}
+
+
+def test_decider_answers_as_each_single_decision():
+    # one decider per source, called on every target in turn, gives each
+    # target the reason and witness of a fresh decision
+    reasons = set()
+    for A, Bs, n, k, zc in g1_inputs():
+        decide = g1_orbit_decider(A, n, k, zc)
+        for B in Bs + Bs[::-1]:
+            got = decide(B)
+            want = g1_orbit_decide(A, B, n, k, zc)
+            assert got.reason == want.reason, (A, B)
+            assert got.witness == want.witness, (A, B)
+            reasons.add(got.reason)
+    assert reasons == {None, "normal-forms", "schreier-component"}
+
+
+def test_decider_reduces_its_source_once_and_lazily(monkeypatch):
+    calls = []
+    normal_form = linalg.gq_normal_form
+    monkeypatch.setattr(linalg, "gq_normal_form",
+                        lambda rows, n, k: calls.append(rows) or
+                        normal_form(rows, n, k))
+    rows = [[1], [2], [3]]
+    decide = g1_orbit_decider(rows, 1, 2, {1})
+    assert decide([[1], [2], [4]]).reason == "normal-forms"
+    assert calls == []
+    for B in ([[2], [2], [3]], rows, [[-1], [2], [3]]):
+        decide(B)
+    assert len(calls) == 4 and calls[1:] == [[(2,), (2,)], [(1,), (2,)],
+                                            [(-1,), (2,)]]
+    with pytest.raises(InputError, match="^expected 3 rows$"):
+        decide([[1], [2]])
